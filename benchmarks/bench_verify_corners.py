@@ -6,14 +6,17 @@ PHASE90-IF phase shifter — across an 81-corner full-factorial set
 levels), with DC + AC measurements and device stress checks at every
 corner.  The blocked ``executor="auto"`` path is asserted bit-identical
 to the scalar serial reference before any number is recorded; CI gates
-the blocked speedup >= 1.  Archived in BENCH_verify.json next to the
-runner's core count.
+the blocked speedup >= 1.  The in-process scalar run also records exact
+work counters — engine compilations (one per corner deck) and engine
+assemblies — which CI gates against committed baselines.  Archived in
+BENCH_verify.json next to the runner's core count.
 """
 
 import time
 
 from repro.celldb import seed_database
 from repro.spice.dcop import solve_dc
+from repro.spice.engine import GLOBAL_STATS
 from repro.spice.parser import parse_deck
 from repro.verify import (
     DEFAULT_STRESS_RULES,
@@ -89,9 +92,11 @@ def bench_corner_qualification():
         scalar_ev.prime()
         blocked_ev.prime()
 
+        assemblies = GLOBAL_STATS.assemblies
         scalar, t_scalar = _timed(lambda: qualify_deck(
             deck, corners, measurements, name=cell_name,
             executor="serial", batch=False, evaluator=scalar_ev))
+        assemblies = GLOBAL_STATS.assemblies - assemblies
         blocked, t_blocked = _timed(lambda: qualify_deck(
             deck, corners, measurements, name=cell_name,
             executor="auto", jobs=JOBS, batch="auto",
@@ -112,6 +117,9 @@ def bench_corner_qualification():
             "corners": len(corners),
             "measurements": len(measurements),
             "corner_decks": scalar_ev.prime(),
+            "compilations": scalar_ev.compilations(),
+            "assemblies": assemblies,
+            "assemblies_per_corner": round(assemblies / len(corners), 3),
             "scalar_seconds": round(t_scalar, 6),
             "blocked_seconds": round(t_blocked, 6),
             "scalar_corners_per_second": round(
@@ -129,7 +137,9 @@ def bench_corner_qualification():
         lines.append(
             f"{cell_name}: {len(corners)} corners x "
             f"{len(measurements)} measurements "
-            f"({scalar_ev.prime()} corner decks)\n"
+            f"({scalar_ev.prime()} corner decks, "
+            f"{scalar_ev.compilations()} compilations, "
+            f"{assemblies} assemblies)\n"
             f"  scalar serial {t_scalar * 1e3:7.1f} ms "
             f"({len(corners) / t_scalar:6.0f} corners/s)\n"
             f"  blocked {blocked.stats['executor']:7s} "

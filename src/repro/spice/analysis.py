@@ -128,12 +128,15 @@ def transfer_function(
     output_node: str,
     gmin: float = 1e-12,
     engine=None,
+    dc_solution: np.ndarray | None = None,
 ) -> TransferFunction:
     """Small-signal DC transfer function (SPICE ``.TF``).
 
     Linearizes at the operating point and computes the gain from
     ``input_source`` (V or I) to ``output_node``, the resistance the
-    source sees, and the output resistance at the node.
+    source sees, and the output resistance at the node.  A given
+    ``dc_solution`` is used as the operating point instead of solving
+    one (as :func:`~repro.spice.ac.solve_ac` does).
     """
     element = circuit.element(input_source)
     if not isinstance(element, (VoltageSource, CurrentSource)):
@@ -148,8 +151,10 @@ def transfer_function(
     snapshot = engine.stats.copy()
     with engine.timed():
         limits: dict = {}
-        x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
-        ctx = engine.evaluate(x_op, gmin=gmin, limits=limits)
+        if dc_solution is None:
+            dc_solution = solve_dc(circuit, gmin=gmin, limits=limits,
+                                   engine=engine)
+        ctx = engine.evaluate(dc_solution, gmin=gmin, limits=limits)
         g_mat = ctx.g_mat.copy()
         size = circuit.num_unknowns
 

@@ -216,11 +216,14 @@ def solve_noise(
     gmin: float = 1e-12,
     engine=None,
     batched: bool = True,
+    dc_solution: np.ndarray | None = None,
 ) -> NoiseResult:
     """Run a noise analysis at the DC operating point.
 
     ``output_node`` is where the output noise is summed; ``input_source``
-    (a V or I source name) enables input-referred quantities.  With
+    (a V or I source name) enables input-referred quantities.  A given
+    ``dc_solution`` is used as the operating point instead of solving
+    one (as :func:`~repro.spice.ac.solve_ac` does).  With
     ``batched=True`` the adjoint systems of a whole frequency block are
     solved as one stacked call (see :func:`repro.spice.ac.solve_ac`);
     ``batched=False`` keeps the per-frequency reference loop.
@@ -233,17 +236,19 @@ def solve_noise(
     with engine.timed():
         result = _solve_noise(
             circuit, engine, output_node, frequencies, input_source, gmin,
-            batched,
+            batched, dc_solution,
         )
     result.stats = engine.stats.since(snapshot)
     return result
 
 
 def _solve_noise(
-    circuit, engine, output_node, frequencies, input_source, gmin, batched
+    circuit, engine, output_node, frequencies, input_source, gmin, batched,
+    x_op,
 ) -> NoiseResult:
     limits: dict = {}
-    x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
+    if x_op is None:
+        x_op = solve_dc(circuit, gmin=gmin, limits=limits, engine=engine)
     ctx = engine.evaluate(x_op, gmin=gmin, limits=limits)
     # Copies: the frequency loop below must survive later evaluations.
     g_mat, c_mat = ctx.g_mat.copy(), ctx.c_mat.copy()

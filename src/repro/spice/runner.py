@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import AnalysisError
-from .ac import ACResult, frequency_grid, solve_ac
+from .ac import ACResult, frequency_grid
 from .analysis import (
     DCSweepResult,
     OperatingPointResult,
@@ -153,7 +153,9 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     the per-element re-stamping reference path, ``"dense"``/``"sparse"``
     /``"auto"`` a compiled engine with that assembly backend.
     Recognized ``.OPTIONS`` settings (RELTOL/VNTOL/ABSTOL/ITL1/GMIN)
-    configure the Newton tolerances.
+    configure the Newton tolerances.  The operating point is solved
+    once per run, with those tolerances and gmin, and shared by ``.OP``
+    and every small-signal card (``.AC``/``.TF``/``.NOISE``).
 
     Unless ``lint=False``, the circuit first passes the connectivity
     lint (:func:`repro.spice.lint.lint_circuit`): structurally broken
@@ -176,9 +178,15 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     simulator = Simulator(deck.circuit, tolerances=tolerances, gmin=gmin,
                           engine=engine)
     run = DeckRun(deck)
+
+    def operating_point():
+        if simulator._last_op is None:
+            simulator.operating_point()
+        return simulator._last_op
+
     for card in deck.analyses:
         if card.kind == "op":
-            run.results.append(simulator.operating_point())
+            run.results.append(operating_point())
         elif card.kind == "dc":
             start, stop, step = (card.args["start"], card.args["stop"],
                                  card.args["step"])
@@ -190,11 +198,10 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
                 simulator.dc_sweep(card.args["source"], values)
             )
         elif card.kind == "ac":
-            run.results.append(solve_ac(
-                deck.circuit,
-                frequency_grid(card.args["start"], card.args["stop"],
-                               card.args["points"], card.args["sweep"]),
-                engine=simulator._engine(),
+            operating_point()
+            run.results.append(simulator.ac(
+                card.args["start"], card.args["stop"],
+                card.args["points"], card.args["sweep"],
             ))
         elif card.kind == "tran":
             run.results.append(simulator.transient(
@@ -204,15 +211,17 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
         elif card.kind == "tf":
             run.results.append(transfer_function(
                 deck.circuit, card.args["source"], card.args["output"],
-                engine=simulator._engine(),
+                gmin=gmin, engine=simulator._engine(),
+                dc_solution=operating_point().x,
             ))
         elif card.kind == "noise":
             run.results.append(solve_noise(
                 deck.circuit, card.args["output"],
                 frequency_grid(card.args["start"], card.args["stop"],
                                card.args["points"], card.args["sweep"]),
-                input_source=card.args["source"],
+                input_source=card.args["source"], gmin=gmin,
                 engine=simulator._engine(),
+                dc_solution=operating_point().x,
             ))
         elif card.kind == "four":
             transients = [r for r in run.results

@@ -26,6 +26,13 @@ precomputed sparse-pattern positions, so the symbolic CSC pattern is
 shared across every lane.  Scalar and batched paths apply the
 identical delta arithmetic at the identical point of the solve, which
 is what makes batched-vs-scalar results bit-identical.
+
+The entry points are compositions of public steps: a bias solve
+(:meth:`~_BlockedDeckSweep.solve_bias` /
+:meth:`~_BlockedDeckSweep.solve_bias_batch`) and, for AC,
+:meth:`BlockedACSweep.solve_small_signal` at the solved points.  A
+caller that needs the operating point as well as the AC response (the
+corner harness) composes the same steps and solves each bias once.
 """
 
 from __future__ import annotations
@@ -103,7 +110,8 @@ class _BlockedDeckSweep:
     Subclasses implement the analysis (``__call__`` and
     ``evaluate_batch``); this base owns deck-text pickling, the lazy
     parse + engine compile, the per-instance solve lock, source
-    re-biasing via ``rhs_delta``, and the content-hash cache tag.
+    re-biasing via ``rhs_delta``, the scalar and blocked bias solves,
+    and the content-hash cache tag.
     """
 
     #: run_sweep's opt-in marker for the ``evaluate_batch`` fast path.
@@ -146,8 +154,9 @@ class _BlockedDeckSweep:
         # thread executor running two chunks through one evaluator would
         # race on them.  Solves are serialized per evaluator instance
         # (process workers each hold their own instance, so this only
-        # bites — and only costs — the thread backend).
-        self._lock = threading.Lock()
+        # bites — and only costs — the thread backend).  Re-entrant: the
+        # entry points hold it while calling the public solve steps.
+        self._lock = threading.RLock()
 
     # -- pickling: ship the text, rebuild the circuit lazily -----------------
 
@@ -236,17 +245,46 @@ class _BlockedDeckSweep:
         self._sources[name] = info
         return info
 
-    def _delta(self, params: dict) -> np.ndarray | None:
-        """The rhs_delta vector biasing the deck's sources to ``params``."""
+    def source_delta(self, params: dict) -> np.ndarray | None:
+        """The ``rhs_delta`` vector biasing the deck's sources to
+        ``params`` (``None`` for no parameters); every name must be an
+        independent DC V/I source, else :class:`~repro.errors.SweepError`."""
         if not params:
             return None
-        delta = np.zeros(self._circuit.num_unknowns)
-        for name, level in params.items():
-            rows, base = self._source_info(name)
-            shift = float(level) - base
-            for row, coeff in rows:
-                delta[row] += coeff * shift
-        return delta
+        with self._lock:
+            self._ensure()
+            delta = np.zeros(self._circuit.num_unknowns)
+            for name, level in params.items():
+                rows, base = self._source_info(name)
+                shift = float(level) - base
+                for row, coeff in rows:
+                    delta[row] += coeff * shift
+            return delta
+
+    def solve_bias(self, delta: np.ndarray | None = None,
+                   attempt: int = 0) -> np.ndarray:
+        """Scalar bias solve: one operating point at ``rhs_delta`` (see
+        :meth:`source_delta`) through the full
+        :func:`~repro.spice.dcop.solve_dc` homotopy ladder, with the
+        sweep layer's retry ``attempt``."""
+        with self._lock:
+            self._ensure()
+            return solve_dc(
+                self._circuit, tolerances=self._tolerances, gmin=self._gmin,
+                engine=self._engine, attempt=attempt, rhs_delta=delta,
+            )
+
+    def solve_bias_batch(self, deltas: list) -> tuple[np.ndarray, list]:
+        """Blocked bias solve: every lane's ``rhs_delta`` in one stacked
+        Newton run (:func:`~repro.spice.dcop.solve_dc_batched`).
+        Returns ``(x, errors)`` — the ``(lanes, unknowns)`` stack and a
+        per-lane ``None`` or :class:`~repro.errors.ConvergenceError`."""
+        with self._lock:
+            self._ensure()
+            return solve_dc_batched(
+                self._circuit, deltas, tolerances=self._tolerances,
+                gmin=self._gmin, engine=self._engine,
+            )
 
 
 class BlockedDCSweep(_BlockedDeckSweep):
@@ -273,12 +311,7 @@ class BlockedDCSweep(_BlockedDeckSweep):
         """Scalar path: one operating point through the full
         :func:`~repro.spice.dcop.solve_dc` homotopy ladder."""
         with self._lock:
-            self._ensure()
-            x = solve_dc(
-                self._circuit, tolerances=self._tolerances, gmin=self._gmin,
-                engine=self._engine, attempt=attempt,
-                rhs_delta=self._delta(params),
-            )
+            x = self.solve_bias(self.source_delta(params), attempt=attempt)
             measure = self._measure or solution_vector
             return measure(self._circuit, x)
 
@@ -288,12 +321,8 @@ class BlockedDCSweep(_BlockedDeckSweep):
         chunk — ``error`` is ``None`` on success, else the lane's
         :class:`~repro.errors.ConvergenceError` (value ``None``)."""
         with self._lock:
-            self._ensure()
-            deltas = [self._delta(params) for params in chunk_params]
-            x, errors = solve_dc_batched(
-                self._circuit, deltas, tolerances=self._tolerances,
-                gmin=self._gmin, engine=self._engine,
-            )
+            x, errors = self.solve_bias_batch(
+                [self.source_delta(params) for params in chunk_params])
             measure = self._measure or solution_vector
             return [
                 (None, error) if error is not None
@@ -494,20 +523,10 @@ class BlockedACSweep(_BlockedDeckSweep):
     def _delta(self, params: dict) -> np.ndarray | None:
         """Source-only rhs_delta; passive parameters ride separately
         through :meth:`_override_deltas`."""
-        if not params:
-            return None
-        delta = None
-        for name, level in params.items():
-            kind, payload = self._param_info(name)
-            if kind != "source":
-                continue
-            rows, base = payload
-            if delta is None:
-                delta = np.zeros(self._circuit.num_unknowns)
-            shift = float(level) - base
-            for row, coeff in rows:
-                delta[row] += coeff * shift
-        return delta
+        return self.source_delta({
+            name: level for name, level in params.items()
+            if self._param_info(name)[0] == "source"
+        })
 
     # -- evaluation ----------------------------------------------------------
 
@@ -528,36 +547,65 @@ class BlockedACSweep(_BlockedDeckSweep):
             else:
                 np.add.at(target, (rows, cols), signs * delta)
 
-    def _solve_lanes(self, g_stack, c_stack) -> np.ndarray:
+    def solve_small_signal(self, x: np.ndarray,
+                           chunk_params: list) -> np.ndarray:
+        """The AC step at already-solved operating points.
+
+        ``x`` is a ``(lanes, unknowns)`` stack of bias points solved at
+        the lanes' source levels (:meth:`solve_bias` /
+        :meth:`solve_bias_batch`); ``chunk_params`` holds the lanes'
+        point parameters, whose R/L/C overrides are applied to each
+        lane's G/C.  All lanes are linearized in one stacked evaluation
+        and solved as ``(lanes x freq_block)`` stacked complex systems;
+        returns the ``(lanes, freqs, unknowns)`` solutions.  Raises
+        :class:`~repro.errors.AnalysisError` when no source carries an
+        AC stimulus.
+        """
         from ..spice.ac import solve_ac_lanes
 
-        return solve_ac_lanes(
-            self._engine, g_stack, c_stack, self._omegas, self._rhs
-        )
+        with self._lock:
+            self._ensure()
+            if not np.any(self._rhs):
+                raise AnalysisError(_NO_STIMULUS)
+            if len(x) > 1 and getattr(self._engine,
+                                      "supports_stacked_evaluate", False):
+                # Each lane's G/C is bit-identical to the scalar
+                # _small_signal at that point (a single lane takes the
+                # cheaper scalar evaluate); the stacked buffers are
+                # freshly allocated, so overrides go straight into them.
+                sctx = self._engine.evaluate_stacked(
+                    x, gmin=self._gmin,
+                    limits_list=[dict() for _ in range(len(x))],
+                    with_c=True,
+                )
+                g_stack, c_stack = sctx.g, sctx.c
+            else:
+                pairs = [self._small_signal(lane) for lane in x]
+                g_stack = np.stack([g for g, _ in pairs])
+                c_stack = np.stack([c for _, c in pairs])
+            for j, params in enumerate(chunk_params):
+                self._apply_overrides(g_stack[j], c_stack[j],
+                                      self._override_deltas(params))
+            return solve_ac_lanes(
+                self._engine, g_stack, c_stack, self._omegas, self._rhs
+            )
 
     def __call__(self, params: dict, attempt: int = 0):
         """Scalar path: one full :func:`~repro.spice.dcop.solve_dc`
         homotopy bias solve, then the point's AC sweep as a single
-        lane through the blocked frequency solver."""
+        lane of :meth:`solve_small_signal`."""
         with self._lock:
             self._ensure()
             delta = self._delta(params)
-            overrides = self._override_deltas(params)
-            x = solve_dc(
-                self._circuit, tolerances=self._tolerances, gmin=self._gmin,
-                engine=self._engine, attempt=attempt, rhs_delta=delta,
-            )
-            if not np.any(self._rhs):
-                raise AnalysisError(_NO_STIMULUS)
-            g_arr, c_arr = self._small_signal(x)
-            self._apply_overrides(g_arr, c_arr, overrides)
-            solutions = self._solve_lanes(g_arr[None], c_arr[None])[0]
+            self._override_deltas(params)  # bad overrides fail pre-solve
+            x = self.solve_bias(delta, attempt=attempt)
+            solutions = self.solve_small_signal(x[None], [params])[0]
             measure = self._measure or ac_solution_matrix
             return measure(self._circuit, solutions)
 
     def evaluate_batch(self, chunk_params: list) -> list:
         """Blocked path: one stacked Newton bias solve for the chunk,
-        then one run of ``(lanes x freq_block)`` stacked complex solves.
+        then one :meth:`solve_small_signal` over every solved lane.
         Returns ``[(value, error), ...]`` aligned with the chunk; a
         failed lane carries the identical error the scalar path would
         raise for that point, and never disturbs its neighbours."""
@@ -566,23 +614,18 @@ class BlockedACSweep(_BlockedDeckSweep):
             results: list = [None] * len(chunk_params)
             lanes: list[int] = []
             lane_deltas: list = []
-            lane_overrides: list = []
             for k, params in enumerate(chunk_params):
                 try:
                     delta = self._delta(params)
-                    overrides = self._override_deltas(params)
+                    self._override_deltas(params)
                 except SweepError as error:
                     results[k] = (None, error)
                 else:
                     lanes.append(k)
                     lane_deltas.append(delta)
-                    lane_overrides.append(overrides)
             if not lanes:
                 return results
-            x, errors = solve_dc_batched(
-                self._circuit, lane_deltas, tolerances=self._tolerances,
-                gmin=self._gmin, engine=self._engine,
-            )
+            x, errors = self.solve_bias_batch(lane_deltas)
             solved: list[int] = []
             for i, error in enumerate(errors):
                 if error is not None:
@@ -591,32 +634,13 @@ class BlockedACSweep(_BlockedDeckSweep):
                     solved.append(i)
             if not solved:
                 return results
-            if not np.any(self._rhs):
+            try:
+                solutions = self.solve_small_signal(
+                    x[solved], [chunk_params[lanes[i]] for i in solved])
+            except AnalysisError as error:
                 for i in solved:
-                    results[lanes[i]] = (None, AnalysisError(_NO_STIMULUS))
+                    results[lanes[i]] = (None, error)
                 return results
-            if getattr(self._engine, "supports_stacked_evaluate", False):
-                # One lane-stacked linearization for every solved bias
-                # point; each lane's G/C is bit-identical to the scalar
-                # _small_signal at that point.
-                sctx = self._engine.evaluate_stacked(
-                    x[np.array(solved)], gmin=self._gmin,
-                    limits_list=[dict() for _ in solved], with_c=True,
-                )
-                g_list = [np.array(g) for g in sctx.g]
-                c_list = [np.array(c) for c in sctx.c]
-                for j, i in enumerate(solved):
-                    self._apply_overrides(
-                        g_list[j], c_list[j], lane_overrides[i]
-                    )
-            else:
-                g_list, c_list = [], []
-                for i in solved:
-                    g_arr, c_arr = self._small_signal(x[i])
-                    self._apply_overrides(g_arr, c_arr, lane_overrides[i])
-                    g_list.append(g_arr)
-                    c_list.append(c_arr)
-            solutions = self._solve_lanes(np.stack(g_list), np.stack(c_list))
             measure = self._measure or ac_solution_matrix
             for j, i in enumerate(solved):
                 results[lanes[i]] = (measure(self._circuit, solutions[j]),

@@ -12,14 +12,16 @@ cache, ``on_error`` policies and bit-identity contract as every other
 sweep in the repo.
 
 Corner mechanics: axes that change the compiled matrix (temperature,
-passive scale) are folded into **derived decks** — one
-:class:`~repro.sweep.BlockedDCSweep` (and, with AC measurements, one
-:class:`~repro.sweep.BlockedACSweep`) per distinct deck-level value
-combination, compiled once and reused for every corner in the group —
-while source axes ride each group's ``rhs_delta`` re-bias path.  A
-27-corner set over 3 temperatures x 3 resistor scales x 3 supply levels
-therefore compiles 9 corner decks and solves 3 stacked bias points
-through each.
+passive scale) are folded into **derived decks** — one evaluator per
+distinct deck-level value combination (a
+:class:`~repro.sweep.BlockedACSweep` when any measurement is AC, else a
+:class:`~repro.sweep.BlockedDCSweep`), compiled once and reused for every
+corner in the group — while source axes ride each group's ``rhs_delta``
+re-bias path.  Each corner's operating point is solved once; the same
+solution feeds the DC measurements, the AC linearization and the stress
+checks.  A 27-corner set over 3 temperatures x 3 resistor scales x 3
+supply levels therefore compiles 9 corner decks and solves 3 stacked
+bias points through each.
 
 :func:`qualify_deck` / :func:`qualify_cell` wrap the whole flow and
 return a :class:`~repro.verify.report.QualificationReport`.
@@ -28,13 +30,13 @@ return a :class:`~repro.verify.report.QualificationReport`.
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import AnalysisError
 from ..sweep import run_sweep
 from ..sweep.batched import BlockedACSweep, BlockedDCSweep
 from .corners import CornerSet, VerificationError, corners_from_tolerances
@@ -185,14 +187,13 @@ def _ac_value(measurement: Measurement, circuit, frequencies,
 
 
 class _Group:
-    """One derived corner deck: its text and compiled evaluators."""
+    """One derived corner deck: its text and its compiled evaluator."""
 
-    __slots__ = ("deck_text", "dc", "ac", "circuit")
+    __slots__ = ("deck_text", "sweep", "circuit")
 
-    def __init__(self, deck_text, dc, ac, circuit):
+    def __init__(self, deck_text, sweep, circuit):
         self.deck_text = deck_text
-        self.dc = dc
-        self.ac = ac
+        self.sweep = sweep
         self.circuit = circuit
 
 
@@ -202,12 +203,9 @@ class CornerEvaluator:
     fast path under ``evaluate_batch``."""
 
     supports_batch = True
-
-    @staticmethod
-    def preferred_chunk_size(count: int) -> int:
-        """Blocked evaluation wants few large chunks (cf.
-        :meth:`repro.sweep.batched._BlockedDeckSweep.preferred_chunk_size`)."""
-        return max(1, math.ceil(count / 8))
+    #: Blocked evaluation wants few large chunks, exactly as the sweep
+    #: evaluators it drives.
+    preferred_chunk_size = staticmethod(BlockedDCSweep.preferred_chunk_size)
 
     def __init__(self, deck: str, corners: CornerSet, measurements,
                  rules=DEFAULT_STRESS_RULES, frequencies=None,
@@ -377,21 +375,20 @@ class CornerEvaluator:
             return group
         self._ensure_base()
         deck_text = self._derived_deck(key)
-        dc = BlockedDCSweep(
-            deck_text, tolerances=self._tolerances, gmin=self._gmin,
-            engine=self._engine_arg,
-        )
-        dc._ensure()
-        ac = None
         if self._wants_ac:
-            ac = BlockedACSweep(
+            sweep = BlockedACSweep(
                 deck_text,
                 frequencies=tuple(float(f) for f in self._frequencies),
                 tolerances=self._tolerances, gmin=self._gmin,
                 engine=self._engine_arg,
             )
-            ac._ensure()
-        group = _Group(deck_text, dc, ac, dc._circuit)
+        else:
+            sweep = BlockedDCSweep(
+                deck_text, tolerances=self._tolerances, gmin=self._gmin,
+                engine=self._engine_arg,
+            )
+        sweep._ensure()
+        group = _Group(deck_text, sweep, sweep._circuit)
         self._groups[key] = group
         return group
 
@@ -410,13 +407,8 @@ class CornerEvaluator:
         """Summed engine compile counter across every corner deck —
         the service's recompile guard watches this stay flat."""
         with self._lock:
-            total = 0
-            for group in self._groups.values():
-                for evaluator in (group.dc, group.ac):
-                    engine = getattr(evaluator, "_engine", None)
-                    if engine is not None:
-                        total += engine.stats.compilations
-            return total
+            return sum(group.sweep._engine.stats.compilations
+                       for group in self._groups.values())
 
     # -- outcome reduction ---------------------------------------------------
 
@@ -446,15 +438,18 @@ class CornerEvaluator:
         with self._lock:
             group = self._group(self._group_key(params))
             source_params = self._source_params(params)
-            x = group.dc(source_params, attempt=attempt)
+            x = group.sweep.solve_bias(
+                group.sweep.source_delta(source_params), attempt=attempt)
             solutions = None
-            if group.ac is not None:
-                solutions = group.ac(source_params, attempt=attempt)
+            if self._wants_ac:
+                solutions = group.sweep.solve_small_signal(
+                    x[None], [source_params])[0]
             return self._outcome(group, x, solutions)
 
     def evaluate_batch(self, chunk_params: list) -> list:
-        """Blocked path: lanes grouped by corner deck, each group solved
-        through the blocked DC/AC evaluators' stacked fast paths.
+        """Blocked path: lanes grouped by corner deck, each group's bias
+        points solved in one stacked Newton run and, with AC
+        measurements, small-signal solved at those same points.
         Returns ``[(outcome, error), ...]`` aligned with the chunk —
         per-lane errors identical to what the scalar path raises."""
         with self._lock:
@@ -480,30 +475,37 @@ class CornerEvaluator:
                         results[k] = (None, error)
                 if not kept:
                     continue
-                dc_results = group.dc.evaluate_batch(source_params)
-                ac_results = None
-                if group.ac is not None:
-                    ac_results = group.ac.evaluate_batch(source_params)
-                for j, k in enumerate(kept):
-                    x, error = dc_results[j]
+                x, errors = group.sweep.solve_bias_batch(
+                    [group.sweep.source_delta(p) for p in source_params])
+                solved = []
+                for j, error in enumerate(errors):
                     if error is not None:
-                        results[k] = (None, error)
+                        results[kept[j]] = (None, error)
+                    else:
+                        solved.append(j)
+                if not solved:
+                    continue
+                solutions = None
+                if self._wants_ac:
+                    try:
+                        solutions = group.sweep.solve_small_signal(
+                            x[solved], [source_params[j] for j in solved])
+                    except AnalysisError as error:
+                        for j in solved:
+                            results[kept[j]] = (None, error)
                         continue
-                    solutions = None
-                    if ac_results is not None:
-                        solutions, error = ac_results[j]
-                        if error is not None:
-                            results[k] = (None, error)
-                            continue
+                for i, j in enumerate(solved):
                     # Per-lane capture keeps reduction errors (bad
                     # measurement node, ...) identical to what the
                     # scalar path raises for that corner, instead of
                     # failing the whole chunk.
                     try:
-                        results[k] = (
-                            self._outcome(group, x, solutions), None)
+                        results[kept[j]] = (self._outcome(
+                            group, x[j],
+                            None if solutions is None else solutions[i]),
+                            None)
                     except Exception as error:  # noqa: BLE001
-                        results[k] = (None, error)
+                        results[kept[j]] = (None, error)
             return results
 
 

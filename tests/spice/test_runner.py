@@ -1,5 +1,8 @@
 """Deck-runner and CLI tests."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
@@ -10,7 +13,16 @@ from repro.spice import (
     TransientResult,
     run_deck,
 )
-from repro.spice.analysis import DCSweepResult
+from repro.spice.ac import frequency_grid
+from repro.spice.analysis import (
+    DCSweepResult,
+    Simulator,
+    TransferFunction,
+    transfer_function,
+)
+from repro.spice.dcop import Tolerances
+from repro.spice.noise import NoiseResult, solve_noise
+from repro.spice.parser import parse_deck
 
 FULL_DECK = """runner exercise
 V1 in 0 DC 5 AC 1
@@ -199,3 +211,76 @@ R1 in 0 1k
             parse_deck("t\nV1 a 0 1\nR1 a 0 1\n.NOISE V(a) V1 DEC 5\n.END\n")
         with pytest.raises(ParseError):
             parse_deck("t\nV1 a 0 1\nR1 a 0 1\n.FOUR V(a)\n.END\n")
+
+
+class TestOperatingPointReuse:
+    """One deck run solves its operating point once, with the deck's
+    .OPTIONS, and hands it to every small-signal card."""
+
+    DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
+
+    @pytest.fixture
+    def solve_dc_calls(self, monkeypatch):
+        """Counts solve_dc calls made through any repro module."""
+        import sys
+
+        from repro.spice import dcop
+
+        original = dcop.solve_dc
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and \
+                    getattr(module, "solve_dc", None) is original:
+                monkeypatch.setattr(module, "solve_dc", counted)
+        return calls
+
+    def test_ce_stage_solves_one_operating_point(self, solve_dc_calls):
+        run = run_deck((self.DECKS / "ce_stage.cir").read_text())
+        assert [type(r) for r in run.results] == [
+            OperatingPointResult, TransferFunction, ACResult]
+        assert len(solve_dc_calls) == 1
+
+    def test_ac_card_matches_simulator_op_then_ac(self):
+        text = (self.DECKS / "ce_stage.cir").read_text()
+        got = run_deck(text).first(ACResult)
+        circuit = parse_deck(text).circuit
+        simulator = Simulator(circuit)
+        simulator.operating_point()
+        want = simulator.ac(1e6, 100e9, 10, "dec")
+        np.testing.assert_array_equal(got.frequencies, want.frequencies)
+        np.testing.assert_array_equal(got.dc_solution, want.dc_solution)
+        np.testing.assert_array_equal(got.solutions, want.solutions)
+
+    def test_small_signal_cards_honor_deck_options(self, solve_dc_calls):
+        deck = """gmin and tolerances reach .TF/.NOISE
+.OPTIONS GMIN=1e-9 RELTOL=1e-4
+V1 in 0 DC 1 AC 1
+R1 in a 1k
+D1 a 0 DMOD
+.MODEL DMOD D(IS=1e-14)
+.TF V(a) V1
+.NOISE V(a) V1 DEC 2 1k 1MEG
+.END
+"""
+        run = run_deck(deck)
+        assert len(solve_dc_calls) == 1
+        parsed = parse_deck(deck)
+        simulator = Simulator(parsed.circuit, gmin=1e-9,
+                              tolerances=Tolerances(reltol=1e-4))
+        x = simulator.operating_point().x
+        tf = transfer_function(parsed.circuit, "V1", "a", gmin=1e-9,
+                               dc_solution=x)
+        noise = solve_noise(parsed.circuit, "a", frequency_grid(
+            1e3, 1e6, 2, "dec"), input_source="V1", gmin=1e-9,
+            dc_solution=x)
+        got_tf = run.first(TransferFunction)
+        assert (got_tf.gain, got_tf.input_resistance,
+                got_tf.output_resistance) == (
+            tf.gain, tf.input_resistance, tf.output_resistance)
+        np.testing.assert_array_equal(run.first(NoiseResult).output_density,
+                                      noise.output_density)
