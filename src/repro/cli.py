@@ -278,10 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--engine",
-        choices=("compiled", "legacy", "auto", "dense", "sparse"),
+        choices=("auto", "dense", "sparse"),
         default=None,
-        help="evaluation engine: compiled/legacy, or force the compiled "
-             "engine's assembly backend (auto/dense/sparse; default: the "
+        help="force the compiled engine's assembly backend (default: the "
              "deck's .OPTIONS SOLVER=, else auto)",
     )
     run_cmd.add_argument(

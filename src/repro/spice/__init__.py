@@ -11,7 +11,6 @@ from .engine import (
     CompiledCircuit,
     DenseLUSolver,
     EngineStats,
-    LegacyEngine,
     LinearSolver,
     SparseLUSolver,
     compile_circuit,
@@ -48,7 +47,6 @@ __all__ = [
     "Circuit",
     "Element",
     "CompiledCircuit",
-    "LegacyEngine",
     "EngineStats",
     "LinearSolver",
     "DenseLUSolver",

@@ -163,11 +163,11 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
     single lane, or a full ``chunk x grid`` product: blocks are sized by
     :func:`ac_lane_blocks` and handed to the engine's batched entry
     points (``solve_pattern_batched`` over the shared CSC pattern for
-    sparse value stacks, ``solve_batched`` for dense stacks).  Engines
-    without a batched entry point (legacy), or ``batched=False``, fall
-    back to one :meth:`solve` per system.  Both paths, and any block
-    size, produce identical solutions: systems are formed elementwise
-    and solved independently.
+    sparse value stacks, ``solve_batched`` for dense stacks).
+    ``batched=False`` is the per-system reference path: one
+    :meth:`solve` per system.  Both paths, and any block size, produce
+    identical solutions: systems are formed elementwise and solved
+    independently.
     """
     g_stack = np.asarray(g_stack)
     c_stack = np.asarray(c_stack)
@@ -177,10 +177,9 @@ def solve_ac_lanes(engine, g_stack: np.ndarray, c_stack: np.ndarray,
     size = np.asarray(rhs).shape[-1]
     sparse = g_stack.ndim == 2
     out = np.zeros((lanes, nfreq, size), dtype=complex)
-    solve_batched = getattr(engine, "solve_batched", None)
-    if batched and (sparse or solve_batched is not None):
+    if batched:
         solve_stack = engine.solve_pattern_batched if sparse \
-            else solve_batched
+            else engine.solve_batched
         per_system = 16 * (g_stack.shape[-1] if sparse else size * size)
         lane_block, freq_block = ac_lane_blocks(lanes, nfreq, per_system)
         for l0 in range(0, lanes, lane_block):
@@ -223,9 +222,9 @@ def solve_ac(
     through the blocked iterator: systems are formed as one
     ``(block, n, n)`` stack (dense) or ``(block, nnz)`` value stack
     (sparse assembly) and handed to the engine's batched solver.
-    ``batched=False``, or an engine without ``solve_batched`` (the
-    legacy engine), falls back to the per-frequency loop; both paths
-    produce the same solutions and the regression tests assert it.
+    ``batched=False`` takes the per-frequency reference loop instead;
+    both paths produce the same solutions and the regression tests
+    assert it.
     """
     frequencies = np.asarray(list(frequencies), dtype=float)
     engine = resolve_engine(circuit, engine)
@@ -242,8 +241,7 @@ def solve_ac(
         # Copy out of the engine buffers: the sweep below must not be
         # clobbered by any later evaluation.
         ctx = engine.evaluate(dc_solution, gmin=gmin, limits=limits)
-        sparse = getattr(engine, "assembly", "dense") == "sparse"
-        if sparse:
+        if engine.assembly == "sparse":
             g_arr = np.array(ctx.g_mat.values)
             c_arr = np.array(ctx.c_mat.values)
         else:

@@ -1,8 +1,8 @@
 """Compiled-circuit evaluation core.
 
-The legacy evaluation path (:func:`repro.spice.mna.load_circuit`) walks
-every element on every Newton iteration and re-stamps all of them into
-freshly allocated matrices.  For the circuits this package targets —
+The per-element reference path (:func:`repro.spice.mna.load_circuit`)
+walks every element on every Newton iteration and re-stamps all of them
+into freshly allocated matrices.  For the circuits this package targets —
 dozens of BJTs surrounded by a largely linear bias/load network — most of
 that work is identical from one iteration to the next.
 
@@ -24,12 +24,15 @@ that work is identical from one iteration to the next.
   time.  Any other nonlinear element (diodes, BJT subclasses) falls back
   to its scalar :meth:`~repro.spice.netlist.Element.load_dynamic`.
 
-Behind the engine sits a pluggable :class:`LinearSolver`.  The dense LU
-backend keeps its last factorization and reuses it when the caller passes
-the same ``token`` — which the analyses do for chord iterations on linear
-circuits (transient steps at a fixed step size, DC sweeps of linear
-networks).  Circuits above :data:`SPARSE_THRESHOLD` unknowns switch to a
-``scipy.sparse`` LU backend.
+Behind the engine sits a pluggable :class:`LinearSolver`.  Both LU
+backends keep their last factorization and reuse it when the caller
+passes the same ``token`` — which the analyses do for chord iterations
+(transient steps, DC sweeps of linear networks).  Sparse-assembly
+engines (chosen by :class:`~repro.spice.solvercost.SolverCostModel` from
+the compiled pattern's ``nnz``) always use the SuperLU backend.  A
+dense-assembly engine picks its backend by size alone: at
+:data:`SPARSE_THRESHOLD` unknowns and above it hands the dense matrix to
+SuperLU (converted per factorization), below it to LAPACK.
 
 Engine work is counted in :class:`EngineStats`, both per engine and into
 the module-level :data:`GLOBAL_STATS` accumulator that the benchmark
@@ -43,32 +46,22 @@ import time as _time
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import sparse as _sp
+from scipy.linalg import lapack as _lapack
+from scipy.sparse import linalg as _spla
 
 from ..devices.gummel_poon import EXP_LIMIT
 from ..errors import AnalysisError
 from .elements.bjt import BJT
 from .elements.diode import Diode
 from .elements.sources import DC as DCWaveform
-from .mna import LoadContext, load_circuit
+from .mna import LoadContext
 from .netlist import Circuit
 from .solvercost import DEFAULT_SOLVER_COST_MODEL
 from .sparse import PatternMatrix, SparsityPattern
 
-try:  # scipy is an optional accelerator; numpy alone is sufficient.
-    from scipy import linalg as _sla
-    from scipy.linalg import lapack as _lapack
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sla = None
-    _lapack = None
-
-try:
-    from scipy import sparse as _sp
-    from scipy.sparse import linalg as _spla
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sp = None
-    _spla = None
-
-#: System size above which :func:`make_solver` picks the sparse backend.
+#: Size at which :func:`make_solver` hands a densely assembled system to
+#: the sparse backend.
 SPARSE_THRESHOLD = 512
 
 
@@ -256,9 +249,6 @@ class LinearSolver:
     """
 
     name = "numpy-dense"
-    #: Whether this backend can keep a factorization alive between calls
-    #: (required for chord / Newton-Richardson iteration).
-    caches_factorization = False
 
     def __init__(self):
         self._sinks: tuple[EngineStats, ...] = ()
@@ -352,7 +342,6 @@ class DenseLUSolver(LinearSolver):
     """Dense LU via ``scipy.linalg.lu_factor`` with factorization reuse."""
 
     name = "dense-lu"
-    caches_factorization = True
 
     def __init__(self):
         super().__init__()
@@ -426,10 +415,11 @@ class DenseLUSolver(LinearSolver):
 class SparseLUSolver(LinearSolver):
     """Sparse LU via ``scipy.sparse.linalg.splu``.
 
-    Accepts either a dense ndarray (converted per call — the legacy
-    large-system fallback) or a :class:`~repro.spice.sparse.PatternMatrix`
-    from the sparse assembly path, whose fixed CSC structure wraps into
-    ``splu`` with zero copies and zero dense scans.
+    Accepts either a dense ndarray (converted per call — what a
+    dense-assembly engine at :data:`SPARSE_THRESHOLD` unknowns or more
+    hands it) or a :class:`~repro.spice.sparse.PatternMatrix` from the
+    sparse assembly path, whose fixed CSC structure wraps into ``splu``
+    with zero copies and zero dense scans.
 
     ``permc_spec`` selects SuperLU's fill-reducing column ordering:
     ``"COLAMD"`` (approximate minimum degree), ``"NATURAL"`` (no
@@ -441,7 +431,6 @@ class SparseLUSolver(LinearSolver):
     """
 
     name = "sparse-lu"
-    caches_factorization = True
 
     #: Column orderings scipy's splu accepts.
     PERMC_SPECS = ("COLAMD", "NATURAL", "MMD_ATA", "MMD_AT_PLUS_A")
@@ -584,42 +573,16 @@ class SparseLUSolver(LinearSolver):
         return out
 
 
-def make_solver(size: int, prefer: str | None = None,
-                nnz: int | None = None,
-                permc_spec: str | None = None) -> LinearSolver:
-    """Pick a solver backend for a system of ``size`` unknowns.
-
-    ``prefer`` forces a backend: ``"dense"``, ``"sparse"`` or ``"numpy"``;
-    ``"auto"`` asks the self-calibrating cost model, which weighs the
-    pattern's ``nnz`` (when known) against dense LAPACK throughput
-    instead of the static size threshold.  ``permc_spec`` configures the
-    sparse backend's fill-reducing column ordering (e.g. ``"COLAMD"`` or
-    ``"NATURAL"``; see :class:`SparseLUSolver`) and is ignored by the
-    dense backends.
+def make_solver(size: int, permc_spec: str | None = None) -> LinearSolver:
+    """The solver backend for a densely assembled system of ``size``
+    unknowns: LAPACK LU below :data:`SPARSE_THRESHOLD`, SuperLU at or
+    above it.  ``permc_spec`` configures the sparse backend's
+    fill-reducing column ordering (e.g. ``"COLAMD"`` or ``"NATURAL"``;
+    see :class:`SparseLUSolver`) and is ignored by the dense one.
     """
-    if prefer == "numpy":
-        return LinearSolver()
-    if prefer == "sparse":
-        if _spla is None:
-            raise AnalysisError("sparse solver requested but scipy is absent")
+    if size >= SPARSE_THRESHOLD:
         return SparseLUSolver(permc_spec=permc_spec)
-    if prefer == "dense":
-        if _sla is None:
-            raise AnalysisError("dense LU solver requested but scipy is absent")
-        return DenseLUSolver()
-    if prefer == "auto":
-        if _spla is not None and (
-            DEFAULT_SOLVER_COST_MODEL.choose(size, nnz) == "sparse"
-        ):
-            return SparseLUSolver(permc_spec=permc_spec)
-        return DenseLUSolver() if _sla is not None else LinearSolver()
-    if prefer is not None:
-        raise AnalysisError(f"unknown solver backend {prefer!r}")
-    if size >= SPARSE_THRESHOLD and _spla is not None:
-        return SparseLUSolver(permc_spec=permc_spec)
-    if _sla is not None:
-        return DenseLUSolver()
-    return LinearSolver()
+    return DenseLUSolver()
 
 
 # ---------------------------------------------------------------------------
@@ -1676,14 +1639,13 @@ class CompiledCircuit:
     cached ``G0``/``C0`` matrices, precomputes source RHS rows and builds
     the vectorized BJT group.  :meth:`evaluate` then assembles the full
     system into preallocated buffers and returns a
-    :class:`~repro.spice.mna.LoadContext` over them — the same object the
-    analyses already consume, so the legacy and compiled paths are
-    interchangeable.
+    :class:`~repro.spice.mna.LoadContext` over them — the same object
+    :func:`~repro.spice.mna.load_circuit` returns, so the two are
+    directly comparable stamp by stamp.
 
     The returned context's arrays are *views into engine-owned buffers*:
     they are overwritten by the next :meth:`evaluate` call.  Analyses
-    copy what they need to keep (which they already did for the legacy
-    path's per-call allocations, only implicitly).
+    copy what they need to keep.
     """
 
     def __init__(self, circuit: Circuit, solver: LinearSolver | None = None,
@@ -1782,32 +1744,24 @@ class CompiledCircuit:
             )
             slot_rows.append(np.repeat(own, own.size))
             slot_cols.append(np.tile(own, own.size))
-        self.pattern: SparsityPattern | None = None
-        nnz = None
-        if _sp is not None:
-            self.pattern = SparsityPattern(
-                size, np.concatenate(slot_rows), np.concatenate(slot_cols)
-            )
-            nnz = self.pattern.nnz
+        self.pattern = SparsityPattern(
+            size, np.concatenate(slot_rows), np.concatenate(slot_cols)
+        )
 
         # -- assembly-mode decision ----------------------------------------
         requested = mode or "auto"
         if requested == "auto":
-            if self.pattern is None:
-                backend = "dense"
-            elif solver is not None and not isinstance(solver, SparseLUSolver):
+            if solver is not None and not isinstance(solver, SparseLUSolver):
                 # An explicitly supplied non-sparse solver cannot consume
                 # PatternMatrix systems natively; honor it densely.
                 backend = "dense"
             else:
-                backend = DEFAULT_SOLVER_COST_MODEL.choose(size, nnz)
+                backend = DEFAULT_SOLVER_COST_MODEL.choose(
+                    size, self.pattern.nnz
+                )
         else:
             backend = requested
         if backend == "sparse":
-            if self.pattern is None:
-                raise AnalysisError(
-                    "sparse assembly requested but scipy is absent"
-                )
             if solver is None:
                 solver = SparseLUSolver(
                     permc_spec=getattr(self.circuit, "_permc_spec", None)
@@ -2123,16 +2077,6 @@ class CompiledCircuit:
             token = None
         return self.solver.solve(a, b, token=token)
 
-    @property
-    def supports_chord(self) -> bool:
-        """Whether the bound solver can keep a factorization alive for
-        chord-Newton reuse."""
-        return self.solver.caches_factorization
-
-    #: The compiled assembler can build ``G + alpha*C`` in one pass
-    #: (``evaluate(jac_alpha=...)``); the transient hot path keys on this.
-    supports_fused_jacobian = True
-
     def has_factorization(self, token) -> bool:
         return self.solver.has_factorization(token)
 
@@ -2167,7 +2111,7 @@ class CompiledCircuit:
         pattern instead of dense ``(batch, n, n)`` stacks.  Only
         meaningful on a sparse-assembly engine.
         """
-        if self.pattern is None or self.assembly != "sparse":
+        if self.assembly != "sparse":
             raise AnalysisError(
                 "solve_pattern_batched requires a sparse-assembly engine"
             )
@@ -2177,83 +2121,6 @@ class CompiledCircuit:
 
     def timed(self) -> _timed_stats:
         """Context manager charging elapsed wall time to this engine."""
-        return _timed_stats(self.stats, GLOBAL_STATS)
-
-    def invalidate_factorization(self) -> None:
-        self.solver.invalidate()
-
-
-class LegacyEngine:
-    """Reference engine: per-evaluation full re-stamp (the seed behavior).
-
-    Exposes the same ``evaluate``/``solve``/``stats`` surface as
-    :class:`CompiledCircuit` so analyses and equivalence tests can swap
-    engines freely.
-    """
-
-    has_constant_jacobian = False
-    #: The legacy path re-stamps everything per call; it cannot keep a
-    #: factorization alive, so chord-Newton degrades to full Newton.
-    supports_chord = False
-    #: No fused G + alpha*C assembly either — the integrator keeps its
-    #: reference dense multiply-add against this engine.
-    supports_fused_jacobian = False
-    #: No symbolic pattern: the legacy path always assembles densely.
-    pattern = None
-    assembly = "dense"
-
-    def __init__(self, circuit: Circuit, solver: LinearSolver | None = None):
-        self.circuit = circuit
-        self.size = circuit.assign_indices()
-        self.num_nodes = len(circuit.node_map)
-        self.generation = circuit._generation
-        self.stats = EngineStats()
-        self.solver = solver if solver is not None else LinearSolver()
-        self.solver.bind(self.stats, GLOBAL_STATS)
-        self.stats.solver = self.solver.name
-
-    def evaluate(
-        self,
-        x: np.ndarray,
-        time: float | None = None,
-        gmin: float = 1e-12,
-        x_prev: np.ndarray | None = None,
-        limits: dict | None = None,
-        source_scale: float = 1.0,
-        bypass_tol: float = 0.0,
-        jac_alpha: float | None = None,
-        charges_only: bool = False,
-        residual_only: bool = False,
-    ) -> LoadContext:
-        # bypass_tol / jac_alpha / charges_only / residual_only are
-        # hot-path options of the compiled engine; the reference path
-        # always re-stamps the complete system.
-        self.stats.assemblies += 1
-        GLOBAL_STATS.assemblies += 1
-        count = len(self.circuit)
-        self.stats.element_evals += count
-        GLOBAL_STATS.element_evals += count
-        return load_circuit(
-            self.circuit,
-            x,
-            time=time,
-            gmin=gmin,
-            x_prev=x_prev,
-            limits=limits,
-            source_scale=source_scale,
-        )
-
-    def solve(self, a: np.ndarray, b: np.ndarray, token=None,
-              chord: bool = False) -> np.ndarray:
-        return self.solver.solve(a, b, token=None)
-
-    def has_factorization(self, token) -> bool:
-        return False
-
-    def solve_cached(self, b: np.ndarray) -> np.ndarray:
-        return self.solver.solve_cached(b)
-
-    def timed(self) -> _timed_stats:
         return _timed_stats(self.stats, GLOBAL_STATS)
 
     def invalidate_factorization(self) -> None:
@@ -2298,29 +2165,19 @@ def get_engine(circuit: Circuit, mode: str | None = None) -> CompiledCircuit:
 def resolve_engine(circuit: Circuit, engine=None):
     """Resolve an analysis ``engine=`` argument.
 
-    ``None`` uses the circuit's cached compiled engine, the string
-    ``"legacy"`` a cached per-element re-stamping engine, the string
-    ``"compiled"`` the compiled engine explicitly; ``"dense"``,
-    ``"sparse"`` and ``"auto"`` pin the compiled engine's assembly
-    backend; an engine object is validated against the circuit's
-    current generation.
+    ``None`` and ``"auto"`` use the circuit's cached compiled engine with
+    the cost model's assembly choice; ``"dense"`` and ``"sparse"`` pin
+    the assembly backend; an engine object is validated against the
+    circuit's current generation.
     """
-    if engine is None or engine == "compiled":
+    if engine is None:
         return get_engine(circuit)
-    if engine in ("dense", "sparse", "auto"):
+    if engine in ("auto", "dense", "sparse"):
         return get_engine(circuit, mode=engine)
-    if engine == "legacy":
-        circuit.assign_indices()
-        cached = getattr(circuit, "_legacy_engine", None)
-        if cached is not None and cached.generation == circuit._generation:
-            return cached
-        legacy = LegacyEngine(circuit)
-        circuit._legacy_engine = legacy
-        return legacy
     if isinstance(engine, str):
         raise AnalysisError(
-            f"unknown engine {engine!r}; expected 'compiled', 'legacy', "
-            "'dense', 'sparse' or 'auto'"
+            f"unknown engine {engine!r}; expected 'auto', 'dense' or "
+            "'sparse'"
         )
     if engine.circuit is not circuit:
         raise AnalysisError("engine was compiled for a different circuit")

@@ -267,26 +267,21 @@ def _solve_noise(
     total = np.zeros(len(frequencies))
     contributions = {s.element: np.zeros(len(frequencies)) for s in sources}
     gain_squared = None
-    input_element = None
+    rhs_in = None
     if input_source is not None:
-        input_element = circuit.element(input_source)
+        rhs_in = _input_rhs(circuit.element(input_source), size)
         gain_squared = np.zeros(len(frequencies))
 
-    solve_batched = getattr(engine, "solve_batched", None)
-    sparse = getattr(engine, "assembly", "dense") == "sparse"
-    if batched and (sparse or solve_batched is not None) \
-            and len(frequencies) > 1:
+    if batched and len(frequencies) > 1:
         from .ac import ac_block_size
 
         count = len(frequencies)
         adjoints = np.empty((count, size), dtype=complex)
         input_solutions = None
-        rhs_in = None
-        if input_element is not None:
-            rhs_in = _input_rhs(input_element, size)
+        if rhs_in is not None:
             input_solutions = np.empty((count, size), dtype=complex)
         omegas = 2.0 * math.pi * frequencies
-        if sparse:
+        if engine.assembly == "sparse":
             # Flat (block, nnz) value stacks over the compiled pattern;
             # the adjoint transpose stays sparse inside the solver.
             g_vals, c_vals = g_mat.values, c_mat.values
@@ -311,12 +306,12 @@ def _solve_noise(
                            + 1j * w[:, None, None] * c_mat[None, :, :])
                 # The adjoint prices every noise source with one transpose
                 # solve per frequency; the whole block goes in one call.
-                adjoints[start:start + len(w)] = solve_batched(
+                adjoints[start:start + len(w)] = engine.solve_batched(
                     systems.transpose(0, 2, 1), e_out.astype(complex)
                 )
                 if input_solutions is not None:
-                    input_solutions[start:start + len(w)] = solve_batched(
-                        systems, rhs_in
+                    input_solutions[start:start + len(w)] = (
+                        engine.solve_batched(systems, rhs_in)
                     )
         for source in sources:
             y_p = adjoints[:, source.p] if source.p >= 0 else 0.0
@@ -342,10 +337,9 @@ def _solve_noise(
                 value = transfer_sq * source.density(frequency)
                 total[k] += value
                 contributions[source.element][k] += value
-            if input_element is not None:
-                gain_squared[k] = _input_gain_squared(
-                    system, input_element, out_index, size, engine
-                )
+            if rhs_in is not None:
+                solution = engine.solve(system, rhs_in)
+                gain_squared[k] = abs(solution[out_index]) ** 2
 
     return NoiseResult(
         circuit=circuit,
@@ -375,13 +369,3 @@ def _input_rhs(element, size: int) -> np.ndarray:
             f"input source {element.name!r} is not an independent source"
         )
     return rhs
-
-
-def _input_gain_squared(system, element, out_index: int, size: int,
-                        engine=None) -> float:
-    rhs = _input_rhs(element, size)
-    if engine is not None:
-        solution = engine.solve(system, rhs)
-    else:
-        solution = np.linalg.solve(system, rhs)
-    return abs(solution[out_index]) ** 2

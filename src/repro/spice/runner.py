@@ -149,9 +149,9 @@ def run_deck(deck: Deck | str, engine=None, lint: bool = True) -> DeckRun:
     ``engine`` selects the evaluation engine for every analysis (see
     :func:`repro.spice.engine.resolve_engine`): ``None`` uses the
     circuit's cached compiled engine (honoring the deck's
-    ``.OPTIONS SOLVER=auto|dense|sparse`` card, if any), ``"legacy"``
-    the per-element re-stamping reference path, ``"dense"``/``"sparse"``
-    /``"auto"`` a compiled engine with that assembly backend.
+    ``.OPTIONS SOLVER=auto|dense|sparse`` card, if any), and
+    ``"auto"``/``"dense"``/``"sparse"`` a compiled engine with that
+    assembly backend.
     Recognized ``.OPTIONS`` settings (RELTOL/VNTOL/ABSTOL/ITL1/GMIN)
     configure the Newton tolerances.  The operating point is solved
     once per run, with those tolerances and gmin, and shared by ``.OP``

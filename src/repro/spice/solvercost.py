@@ -94,17 +94,9 @@ class SolverCostModel:
         return (self.sparse_factor_ns * work * fill_scale
                 + self.sparse_assemble_ns * nnz)
 
-    def choose(self, size: int, nnz: int | None = None) -> str:
-        """``"dense"`` or ``"sparse"`` for a system of this shape.
-
-        With ``nnz`` unknown there is nothing for the model to reason
-        about; fall back to the legacy static size threshold so
-        callers without pattern information keep their behavior.
-        """
-        if nnz is None:
-            from .engine import SPARSE_THRESHOLD
-
-            return "sparse" if size >= SPARSE_THRESHOLD else "dense"
+    def choose(self, size: int, nnz: int) -> str:
+        """``"dense"`` or ``"sparse"`` for a ``size``-unknown system whose
+        compiled pattern has ``nnz`` structural entries."""
         if size < self.min_size:
             return "dense"
         dense = self.dense_cost(size)

@@ -428,7 +428,7 @@ class BlockedACSweep(_BlockedDeckSweep):
             )
         self._omegas = 2.0 * np.pi * self._frequencies
         self._rhs = ac_stimulus_rhs(self._circuit, self._circuit.num_unknowns)
-        self._sparse = getattr(self._engine, "assembly", "dense") == "sparse"
+        self._sparse = self._engine.assembly == "sparse"
 
     # -- parameter classification -------------------------------------------
 
@@ -567,8 +567,7 @@ class BlockedACSweep(_BlockedDeckSweep):
             self._ensure()
             if not np.any(self._rhs):
                 raise AnalysisError(_NO_STIMULUS)
-            if len(x) > 1 and getattr(self._engine,
-                                      "supports_stacked_evaluate", False):
+            if len(x) > 1 and self._engine.supports_stacked_evaluate:
                 # Each lane's G/C is bit-identical to the scalar
                 # _small_signal at that point (a single lane takes the
                 # cheaper scalar evaluate); the stacked buffers are

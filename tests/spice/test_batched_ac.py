@@ -3,9 +3,10 @@
 The batched AC/noise sweeps assemble G and C once and solve each block
 of frequencies as one stacked ``(block, n, n)`` system.  These tests pin
 the batched results against (a) the ``batched=False`` per-frequency
-loop on the same engine, and (b) the legacy engine, which has no
-``solve_batched`` and always takes the fallback loop — on every example
-deck that carries the relevant analysis card.
+loop on the same engine, and (b) the per-frequency outputs of the
+removed per-element re-stamping engine, recorded in
+``legacy_goldens.json`` — on every example deck that carries the
+relevant analysis card.
 """
 
 from pathlib import Path
@@ -14,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.spice.ac import ac_block_size, frequency_grid, solve_ac
-from repro.spice.engine import (
-    DenseLUSolver,
-    LegacyEngine,
-    SparseLUSolver,
-    resolve_engine,
-)
+from repro.spice.engine import DenseLUSolver, SparseLUSolver
 from repro.spice.noise import solve_noise
 from repro.spice.parser import parse_deck
 
@@ -106,12 +102,6 @@ class TestBatchedSolver:
         assert sink.factorizations == 3
         assert sink.solves == 3
 
-    def test_legacy_engine_has_no_batched_entry_point(self):
-        deck = _deck("ce_stage.cir")
-        legacy = resolve_engine(deck.circuit, "legacy")
-        assert isinstance(legacy, LegacyEngine)
-        assert getattr(legacy, "solve_batched", None) is None
-
 
 class TestBatchedACRegression:
     @pytest.mark.parametrize("deck_name", ["ce_stage.cir",
@@ -128,13 +118,14 @@ class TestBatchedACRegression:
         np.testing.assert_allclose(batched.solutions, loop.solutions,
                                    rtol=1e-12, atol=1e-15)
 
-    def test_batched_equals_legacy_engine(self):
+    def test_batched_equals_legacy_engine(self, legacy_goldens):
         deck = _deck("ce_stage.cir")
         freqs = _grid(_card(deck, "ac"))
         batched = solve_ac(deck.circuit, freqs)
-        legacy = solve_ac(deck.circuit, freqs, engine="legacy")
-        np.testing.assert_allclose(batched.solutions, legacy.solutions,
-                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            batched.solutions, legacy_goldens["solve_ac_ce_stage_solutions"],
+            rtol=1e-9, atol=1e-12,
+        )
 
     def test_block_boundaries_are_seamless(self):
         # Force tiny blocks by monkeypatching would hide the real path;
@@ -174,20 +165,17 @@ class TestBatchedNoiseRegression:
             np.testing.assert_allclose(values, loop.contributions[name],
                                        rtol=1e-9, atol=1e-30)
 
-    def test_batched_equals_legacy_engine(self):
+    def test_batched_equals_legacy_engine(self, legacy_goldens):
         deck = _deck("noise_bench.cir")
         card = _card(deck, "noise")
         freqs = _grid(card)
         batched = solve_noise(deck.circuit, card.args["output"], freqs,
                               input_source=card.args["source"])
-        legacy = solve_noise(deck.circuit, card.args["output"], freqs,
-                             input_source=card.args["source"],
-                             engine="legacy")
+        legacy = legacy_goldens["solve_noise_noise_bench"]
         np.testing.assert_allclose(batched.output_density,
-                                   legacy.output_density,
-                                   rtol=1e-8)
+                                   legacy["output_density"], rtol=1e-8)
         np.testing.assert_allclose(batched.gain_squared,
-                                   legacy.gain_squared, rtol=1e-8)
+                                   legacy["gain_squared"], rtol=1e-8)
 
     def test_batched_without_input_source(self):
         deck = _deck("noise_bench.cir")

@@ -1,5 +1,5 @@
-"""Compiled-engine tests: stamping equivalence against the legacy
-per-element path, golden analysis agreement on the example decks, linear
+"""Compiled-engine tests: stamping equivalence against the per-element
+reference path, golden analysis agreement on the example decks, linear
 solver units and engine caching/instrumentation."""
 
 from pathlib import Path
@@ -14,9 +14,7 @@ from repro.spice import (
     CompiledCircuit,
     DenseLUSolver,
     EngineStats,
-    LegacyEngine,
     NoiseResult,
-    OperatingPointResult,
     Simulator,
     SparseLUSolver,
     compile_circuit,
@@ -27,7 +25,6 @@ from repro.spice import (
     run_deck,
     solve_ac,
     solve_dc,
-    solve_noise,
     solve_transient,
     transfer_function,
 )
@@ -165,92 +162,83 @@ class TestStampingEquivalence:
 
 
 class TestGoldenAnalyses:
-    """Legacy and compiled paths must agree on full analyses."""
+    """The compiled engine must reproduce the per-element re-stamping
+    engine's full analyses, recorded in ``legacy_goldens.json``."""
 
     @pytest.mark.parametrize("path", DECKS, ids=lambda p: p.stem)
-    def test_dc_matches(self, path):
-        text = path.read_text()
-        x_legacy = solve_dc(parse_deck(text).circuit, engine="legacy")
-        x_compiled = solve_dc(parse_deck(text).circuit)
-        np.testing.assert_allclose(x_compiled, x_legacy,
+    def test_dc_matches(self, path, legacy_goldens):
+        x_compiled = solve_dc(deck_circuit(path))
+        np.testing.assert_allclose(x_compiled,
+                                   legacy_goldens["dc"][path.stem],
                                    rtol=1e-7, atol=1e-9)
 
-    def test_ac_matches(self):
+    def test_ac_matches(self, legacy_goldens):
         text = (DECK_DIR / "ce_stage.cir").read_text()
-        runs = {
-            name: run_deck(parse_deck(text), engine=name)
-            for name in ("legacy", "compiled")
-        }
-        ac_legacy = runs["legacy"].first(ACResult)
-        ac_compiled = runs["compiled"].first(ACResult)
+        ac_compiled = run_deck(parse_deck(text)).first(ACResult)
         np.testing.assert_allclose(
-            ac_compiled.voltage("c"), ac_legacy.voltage("c"),
+            ac_compiled.voltage("c"),
+            legacy_goldens["run_deck_ce_stage_ac_v_c"],
             rtol=1e-8,
         )
 
-    def test_noise_matches(self):
+    def test_noise_matches(self, legacy_goldens):
         text = (DECK_DIR / "noise_bench.cir").read_text()
-        n_legacy = run_deck(parse_deck(text), engine="legacy").first(
-            NoiseResult)
         n_compiled = run_deck(parse_deck(text)).first(NoiseResult)
         np.testing.assert_allclose(
-            n_compiled.output_density, n_legacy.output_density,
+            n_compiled.output_density,
+            legacy_goldens["run_deck_noise_bench_output_density"],
             rtol=1e-6,
         )
 
-    def test_transient_matches_on_driven_circuit(self, hf_model):
-        def build():
-            ckt = Circuit("driven")
-            ckt.add(VoltageSource("VCC", ("vcc", "0"), dc=5.0))
-            ckt.add(VoltageSource("VIN", ("b", "0"),
-                                  dc=Sine(offset=0.8, amplitude=0.01,
-                                          frequency=1e9)))
-            ckt.add(Resistor("RL", ("vcc", "c"), 1e3))
-            ckt.add(BJT("Q1", ("c", "b", "0"), hf_model))
-            return ckt
+    def test_transient_matches_on_driven_circuit(self, hf_model,
+                                                 legacy_goldens):
+        ckt = Circuit("driven")
+        ckt.add(VoltageSource("VCC", ("vcc", "0"), dc=5.0))
+        ckt.add(VoltageSource("VIN", ("b", "0"),
+                              dc=Sine(offset=0.8, amplitude=0.01,
+                                      frequency=1e9)))
+        ckt.add(Resistor("RL", ("vcc", "c"), 1e3))
+        ckt.add(BJT("Q1", ("c", "b", "0"), hf_model))
 
         stop = 2e-9
-        r_legacy = solve_transient(build(), stop_time=stop,
-                                   max_step=stop / 100, engine="legacy")
         # Exact-parity golden test: hot-path shortcuts pinned off.
-        r_compiled = solve_transient(build(), stop_time=stop,
+        r_compiled = solve_transient(ckt, stop_time=stop,
                                      max_step=stop / 100,
                                      bypass_tol=0.0, chord=False)
         grid = np.linspace(0.0, stop, 60)
-        v_legacy = np.interp(grid, r_legacy.times, r_legacy.voltage("c"))
         v_compiled = np.interp(grid, r_compiled.times,
                                r_compiled.voltage("c"))
-        np.testing.assert_allclose(v_compiled, v_legacy, atol=2e-4)
+        np.testing.assert_allclose(v_compiled,
+                                   legacy_goldens["transient_driven_v_c"],
+                                   atol=2e-4)
 
-    def test_transient_ring_oscillator_initial_window(self):
+    def test_transient_ring_oscillator_initial_window(self, legacy_goldens):
         """The autonomous ring oscillator diverges exponentially from any
         perturbation, so only the initial window is comparable."""
-        text = (DECK_DIR / "ring_oscillator.cir").read_text()
         stop = 3e-10
-        r_legacy = solve_transient(parse_deck(text).circuit,
-                                   stop_time=stop, max_step=5e-12,
-                                   engine="legacy")
         # Exact-parity golden test: hot-path shortcuts pinned off.
-        r_compiled = solve_transient(parse_deck(text).circuit,
-                                     stop_time=stop, max_step=5e-12,
-                                     bypass_tol=0.0, chord=False)
+        r_compiled = solve_transient(
+            deck_circuit(DECK_DIR / "ring_oscillator.cir"),
+            stop_time=stop, max_step=5e-12, bypass_tol=0.0, chord=False,
+        )
         grid = np.linspace(0.0, stop, 40)
-        v_legacy = np.interp(grid, r_legacy.times, r_legacy.voltage("c0p"))
         v_compiled = np.interp(grid, r_compiled.times,
                                r_compiled.voltage("c0p"))
-        np.testing.assert_allclose(v_compiled, v_legacy, atol=2e-3)
+        np.testing.assert_allclose(
+            v_compiled, legacy_goldens["transient_ring_oscillator_v_c0p"],
+            atol=2e-3,
+        )
 
-    def test_transfer_function_matches(self):
-        text = (DECK_DIR / "ce_stage.cir").read_text()
-        tf_legacy = transfer_function(parse_deck(text).circuit, "VB",
-                                      "c", engine="legacy")
-        tf_compiled = transfer_function(parse_deck(text).circuit, "VB",
-                                        "c")
-        assert tf_compiled.gain == pytest.approx(tf_legacy.gain, rel=1e-9)
+    def test_transfer_function_matches(self, legacy_goldens):
+        golden = legacy_goldens["tf_ce_stage_vb_c"]
+        tf_compiled = transfer_function(
+            deck_circuit(DECK_DIR / "ce_stage.cir"), "VB", "c"
+        )
+        assert tf_compiled.gain == pytest.approx(golden["gain"], rel=1e-9)
         assert tf_compiled.input_resistance == pytest.approx(
-            tf_legacy.input_resistance, rel=1e-9)
+            golden["input_resistance"], rel=1e-9)
         assert tf_compiled.output_resistance == pytest.approx(
-            tf_legacy.output_resistance, rel=1e-9)
+            golden["output_resistance"], rel=1e-9)
 
 
 class TestLinearSolvers:
@@ -304,10 +292,9 @@ class TestLinearSolvers:
 
     def test_make_solver_size_threshold(self):
         assert isinstance(make_solver(8), DenseLUSolver)
+        assert isinstance(make_solver(SPARSE_THRESHOLD - 1), DenseLUSolver)
+        assert isinstance(make_solver(SPARSE_THRESHOLD), SparseLUSolver)
         assert isinstance(make_solver(SPARSE_THRESHOLD + 1), SparseLUSolver)
-        assert isinstance(make_solver(SPARSE_THRESHOLD + 1, prefer="dense"),
-                          DenseLUSolver)
-        assert isinstance(make_solver(8, prefer="sparse"), SparseLUSolver)
 
 
 class TestEngineLifecycle:
@@ -334,14 +321,25 @@ class TestEngineLifecycle:
         with pytest.raises(AnalysisError):
             resolve_engine(a, get_engine(b))
 
-    def test_resolve_strings(self):
+    def test_resolve_strings(self, capsys):
+        from repro.cli import main
+
         circuit = deck_circuit(DECK_DIR / "ce_stage.cir")
         assert isinstance(resolve_engine(circuit, None), CompiledCircuit)
-        assert isinstance(resolve_engine(circuit, "compiled"),
-                          CompiledCircuit)
-        assert isinstance(resolve_engine(circuit, "legacy"), LegacyEngine)
-        with pytest.raises(AnalysisError):
-            resolve_engine(circuit, "turbo")
+        assert resolve_engine(circuit, "auto") is resolve_engine(circuit)
+        for mode in ("dense", "sparse"):
+            assert resolve_engine(circuit, mode).assembly == mode
+        # Removed selectors fail with a message naming the valid ones.
+        for name in ("turbo", "legacy", "compiled"):
+            with pytest.raises(AnalysisError) as info:
+                resolve_engine(circuit, name)
+            for valid in ("'auto'", "'dense'", "'sparse'"):
+                assert valid in str(info.value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(DECK_DIR / "ce_stage.cir"),
+                  "--engine", "legacy"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'legacy'" in capsys.readouterr().err
 
     def test_invalidate_bumps_generation(self):
         circuit = deck_circuit(DECK_DIR / "ce_stage.cir")
@@ -423,9 +421,3 @@ class TestInstrumentation:
         out = capsys.readouterr().out
         assert "engine profile:" in out
         assert "solves" in out
-
-    def test_cli_legacy_engine_flag(self, capsys):
-        from repro.cli import main
-        assert main(["run", str(DECK_DIR / "ce_stage.cir"),
-                     "--engine", "legacy", "--profile"]) == 0
-        assert "numpy-dense" in capsys.readouterr().out

@@ -151,11 +151,6 @@ class TestSolverCostModel:
         n = 600
         assert model.choose(n, nnz=n * n) == "dense"
 
-    def test_no_nnz_falls_back_to_threshold(self):
-        model = SolverCostModel()
-        assert model.choose(SPARSE_THRESHOLD - 1) == "dense"
-        assert model.choose(SPARSE_THRESHOLD) == "sparse"
-
     def test_observe_recalibrates(self):
         model = SolverCostModel(calibration_weight=1.0)
         before = model.dense_cost(1000)
@@ -167,19 +162,6 @@ class TestSolverCostModel:
         model = SolverCostModel()
         size = model.crossover()
         assert size is None or size >= model.min_size
-
-
-class TestMakeSolver:
-    def test_prefer_auto_small_is_dense(self):
-        assert isinstance(make_solver(10, prefer="auto"), DenseLUSolver)
-
-    def test_prefer_auto_large_sparse_pattern(self):
-        solver = make_solver(2000, prefer="auto", nnz=8000)
-        assert isinstance(solver, SparseLUSolver)
-
-    def test_explicit_prefer_wins(self):
-        assert isinstance(make_solver(10, prefer="sparse"), SparseLUSolver)
-        assert isinstance(make_solver(5000, prefer="dense"), DenseLUSolver)
 
 
 class TestPermcSpecAndFill:
@@ -198,7 +180,7 @@ class TestPermcSpecAndFill:
             SparseLUSolver(permc_spec="BOGUS")
 
     def test_make_solver_threads_the_spec(self):
-        solver = make_solver(500, prefer="sparse", permc_spec="colamd")
+        solver = make_solver(SPARSE_THRESHOLD, permc_spec="colamd")
         assert solver.permc_spec == "COLAMD"
 
     def test_options_card_reaches_the_engine(self):
@@ -400,6 +382,19 @@ class TestSparseEngineCounters:
         delta = engine.stats.since(snapshot)
         assert delta.sparse_assemblies == 0
         assert delta.dense_assemblies > 0
+
+    def test_auto_mode_follows_the_cost_model(self):
+        small = get_engine(self._circuit(), "auto")
+        assert small.assembly == "dense"
+        assert isinstance(small.solver, DenseLUSolver)
+        # A 1000-node resistor ladder: ~3 entries per row, far past the
+        # dense/sparse crossover.
+        ladder = "ladder\nV1 n0 0 DC 1\n" + "\n".join(
+            f"R{k} n{k - 1} n{k} 1k" for k in range(1, 1001)
+        ) + "\nRL n1000 0 1k\n.OP\n.END\n"
+        large = get_engine(parse_deck(ladder).circuit, "auto")
+        assert large.assembly == "sparse"
+        assert isinstance(large.solver, SparseLUSolver)
 
     def test_modes_are_cached_separately(self):
         circuit = self._circuit()

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConvergenceError, SweepError
+from repro.spice.engine import get_engine
+from repro.spice.lint import check_circuit
 from repro.spice.parser import parse_deck
 from repro.sweep import (
     BlockedACSweep,
@@ -27,6 +29,8 @@ from repro.sweep import (
     ac_node_voltage,
     run_sweep,
 )
+
+from .test_batched_dc import DIODE_DECK, DIODE_POINTS
 
 DECKS = Path(__file__).resolve().parents[2] / "examples" / "decks"
 DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
@@ -234,6 +238,25 @@ class TestFrequencyResolution:
             assert value is None
             assert isinstance(error, AnalysisError)
             assert str(error) == str(scalar_exc.value)
+
+
+class TestScalarDynamicLanes:
+    """Blocked AC on a circuit whose devices cannot be lane-stacked: the
+    multi-lane small-signal step linearizes each lane with the scalar
+    ``evaluate`` instead of one stacked pass."""
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_diode_batch_bitwise_equals_scalar(self, mode):
+        circuit = parse_deck(DIODE_DECK).circuit
+        assert check_circuit(circuit) == []
+        assert not get_engine(circuit, mode).supports_stacked_evaluate
+        fn = BlockedACSweep(DIODE_DECK, measure=ac_node_voltage("a"),
+                            engine=mode)
+        scalar = [fn(p) for p in DIODE_POINTS]
+        batched = fn.evaluate_batch(DIODE_POINTS)
+        assert all(error is None for _, error in batched)
+        for (value, _), expected in zip(batched, scalar):
+            np.testing.assert_array_equal(value, expected)
 
 
 class TestStackedEvaluate:

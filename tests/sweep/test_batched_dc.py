@@ -27,7 +27,13 @@ from repro.spice.dcop import (
     solve_dc,
     solve_dc_batched,
 )
-from repro.spice.engine import DenseLUSolver, SparseLUSolver, resolve_engine
+from repro.spice.engine import (
+    DenseLUSolver,
+    SparseLUSolver,
+    get_engine,
+    resolve_engine,
+)
+from repro.spice.lint import check_circuit
 from repro.spice.parser import parse_deck
 from repro.sweep import BlockedDCSweep, node_voltage, run_sweep
 
@@ -37,6 +43,21 @@ DECK_TEXT = (DECKS / "ce_stage.cir").read_text()
 #: Sweep levels for the CE stage's base source; chosen to bias the BJT
 #: from near-off through active so lanes converge on different paths.
 VB_LEVELS = [0.55, 0.62, 0.68, 0.72, 0.75, 0.78, 0.80, 0.82]
+
+#: A diode clamp driven by a swept DC source.  The diode is a scalar
+#: nonlinear element, so the engine cannot stack its lanes and the
+#: blocked Newton takes its per-lane ``evaluate`` loop instead.
+DIODE_DECK = """diode clamp with a DC-swept drive
+.MODEL DX D(IS=1e-14 N=1.05 RS=5 CJO=2p TT=5n)
+VIN in 0 DC 0.7 AC 1
+R1 in a 1k
+D1 a 0 DX
+C1 a 0 1p
+.OP
+.AC DEC 5 1MEG 1G
+.END
+"""
+DIODE_POINTS = [{"VIN": level} for level in (0.3, 0.6, 0.8, 1.5, 3.0)]
 
 EXECUTOR_MATRIX = (
     {"executor": "serial"},
@@ -196,6 +217,22 @@ class TestSweepParityMatrix:
                         **backend)
         assert run.values == reference.values
         assert run.ok
+
+
+class TestScalarDynamicLanes:
+    """Blocked DC on a circuit whose devices cannot be lane-stacked."""
+
+    @pytest.mark.parametrize("mode", ("dense", "sparse"))
+    def test_diode_batch_bitwise_equals_scalar(self, mode):
+        circuit = parse_deck(DIODE_DECK).circuit
+        assert check_circuit(circuit) == []
+        assert not get_engine(circuit, mode).supports_stacked_evaluate
+        fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("a"),
+                            engine=mode)
+        scalar = [fn(p) for p in DIODE_POINTS]
+        batched = fn.evaluate_batch(DIODE_POINTS)
+        assert [value for value, _ in batched] == scalar
+        assert all(error is None for _, error in batched)
 
 
 class TestBatchOptIn:
