@@ -3,12 +3,11 @@
 The dense engine assembles every Newton iteration into an ``(n, n)``
 matrix; the sparse assembly path fills a flat nnz-length data array
 over the compiled symbolic pattern and factorizes with sparse LU.  The
-dense arm's solver is picked by size alone
-(:data:`repro.spice.engine.SPARSE_THRESHOLD`, 512 unknowns): LAPACK LU
-at 5 and 25 stages, but SuperLU over the converted dense matrix at 51
-and 101 stages, so there the gap measures dense assembly and conversion
-rather than an O(n^3) factorization.  Each row records the dense arm's
-solver as ``dense_solver``.  This benchmark times the Fig. 11
+assembly backend picks the solver, so the dense arm factorizes with
+LAPACK LU at every size: at 51 and 101 stages the gap includes a real
+O(n^3) dense factorization per Newton iteration.  Each row records the
+dense arm's solver as ``dense_solver`` (always ``"dense-lu"``).  This
+benchmark times the Fig. 11
 ring-oscillator transient under both backends while the topology scales
 from the paper's 5 stages (87 unknowns) to 101 stages (1719 unknowns) —
 past the dense O(n^2) scaling wall — and archives the crossover curve in
@@ -150,9 +149,8 @@ def bench_sparse_scaling():
 
     report("BENCH_sparse_scaling", "\n".join(lines))
     # The acceptance gate: past the crossover the dense O(n^2) assembly
-    # (plus, at 101 stages, the per-factorization dense-to-CSC
-    # conversion) must lose decisively.  Locally this measures well
-    # above 3x at 1719 unknowns.
+    # and O(n^3) LAPACK factorization must lose decisively.  Locally
+    # this measures well above 3x at 1719 unknowns.
     assert headline is not None and headline >= 3.0, (
         f"sparse speedup at 101 stages was {headline:.2f}x (< 3x)"
     )

@@ -15,7 +15,6 @@ from .engine import (
     SparseLUSolver,
     compile_circuit,
     get_engine,
-    make_solver,
     resolve_engine,
 )
 from .analysis import (
@@ -53,7 +52,6 @@ __all__ = [
     "SparseLUSolver",
     "compile_circuit",
     "get_engine",
-    "make_solver",
     "resolve_engine",
     "Simulator",
     "OperatingPointResult",

@@ -124,13 +124,6 @@ DIAG_GSHUNT = 1e-12
 CHORD_CONTRACTION = 0.5
 
 
-def _count_refactorization(engine) -> None:
-    from .engine import GLOBAL_STATS
-
-    engine.stats.refactorizations += 1
-    GLOBAL_STATS.refactorizations += 1
-
-
 def newton_solve(
     circuit: Circuit,
     x0: np.ndarray,
@@ -262,7 +255,7 @@ def newton_solve(
                 # A stale factorization produced garbage — rebuild it and
                 # retry this iteration instead of failing outright.
                 engine.invalidate_factorization()
-                _count_refactorization(engine)
+                engine.count(refactorizations=1)
                 refactor_next = True
                 continue
             worst = int(np.argmax(~np.isfinite(dx)))
@@ -310,7 +303,7 @@ def newton_solve(
             # The frozen Jacobian is no longer contracting the error —
             # refactorize at the next iteration.
             engine.invalidate_factorization()
-            _count_refactorization(engine)
+            engine.count(refactorizations=1)
             refactor_next = True
         prev_error = last_error
     raise ConvergenceError(
@@ -502,34 +495,18 @@ def newton_solve_batched(
         jac = np.empty((batch, size, size))
     res = np.empty((batch, size))
     active = list(range(batch))
-    # Engines whose nonlinear devices are all group-vectorized assemble
-    # every active lane in one stacked pass — the same elementwise math
-    # lane-by-lane, so residuals and Jacobians stay bit-identical to the
-    # per-lane evaluate loop they replace.
-    stacked = engine.supports_stacked_evaluate
     for _iteration in range(tolerances.max_iterations):
         if not active:
             break
-        if stacked:
-            idx_arr = np.array(active)
-            sctx = engine.evaluate_stacked(
-                x[idx_arr], gmin=gmin,
-                limits_list=[limits[k] for k in active],
-                source_scale=source_scale,
-            )
-            res[idx_arr] = sctx.i
-            jac[idx_arr] = sctx.g
-        else:
-            for k in active:
-                ctx = engine.evaluate(
-                    x[k], gmin=gmin, limits=limits[k],
-                    source_scale=source_scale,
-                )
-                np.copyto(res[k], ctx.i_vec)
-                if pattern is not None:
-                    np.copyto(jac[k], ctx.g_mat.values)
-                else:
-                    np.copyto(jac[k], ctx.g_mat)
+        # Every active lane is assembled in one stacked pass, each lane
+        # bit-identical to a scalar evaluate at its iterate.
+        idx = np.array(active)
+        sctx = engine.evaluate_stacked(
+            x[idx], gmin=gmin, limits_list=[limits[k] for k in active],
+            source_scale=source_scale,
+        )
+        res[idx] = sctx.i
+        jac[idx] = sctx.g
         for k in active:
             if rhs_deltas is not None and rhs_deltas[k] is not None:
                 if source_scale == 1.0:
@@ -541,7 +518,6 @@ def newton_solve_batched(
             else:
                 jac[k][diag, diag] += DIAG_GSHUNT
             res[k][:num_nodes] += DIAG_GSHUNT * x[k][:num_nodes]
-        idx = np.array(active)
         if engine.has_constant_jacobian:
             # The scalar path factorizes this (lane-independent) matrix
             # once under the ("dc",) token and back-substitutes for every

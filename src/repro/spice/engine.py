@@ -24,19 +24,27 @@ that work is identical from one iteration to the next.
   time.  Any other nonlinear element (diodes, BJT subclasses) falls back
   to its scalar :meth:`~repro.spice.netlist.Element.load_dynamic`.
 
-Behind the engine sits a pluggable :class:`LinearSolver`.  Both LU
-backends keep their last factorization and reuse it when the caller
-passes the same ``token`` — which the analyses do for chord iterations
-(transient steps, DC sweeps of linear networks).  Sparse-assembly
-engines (chosen by :class:`~repro.spice.solvercost.SolverCostModel` from
-the compiled pattern's ``nnz``) always use the SuperLU backend.  A
-dense-assembly engine picks its backend by size alone: at
-:data:`SPARSE_THRESHOLD` unknowns and above it hands the dense matrix to
-SuperLU (converted per factorization), below it to LAPACK.
+The same assembly runs lane-stacked: :meth:`CompiledCircuit.evaluate_stacked`
+assembles a ``(lanes, n)`` stack of solutions for the blocked DC, AC and
+corner paths.  Scalar and stacked assembly share the constant-stamp and
+source code and, for the BJT group, one device kernel
+(:meth:`BJTGroup._stamp_values`); scalar-dynamic elements are loaded per
+lane into row views of the stacked buffers.  Every lane is therefore
+bit-identical to a scalar :meth:`~CompiledCircuit.evaluate` at that
+lane's solution.
+
+Behind the engine sits a :class:`LinearSolver`, picked by the assembly
+backend that :class:`~repro.spice.solvercost.SolverCostModel` chose from
+the compiled pattern's ``nnz``: dense assembly factorizes with LAPACK
+(:class:`DenseLUSolver`), sparse assembly with SuperLU
+(:class:`SparseLUSolver`, column ordering from the deck's
+``.OPTIONS PERMC=``).  Both keep their last factorization and reuse it
+when the caller passes the same ``token`` — which the analyses do for
+chord iterations (transient steps, DC sweeps of linear networks).
 
 Engine work is counted in :class:`EngineStats`, both per engine and into
 the module-level :data:`GLOBAL_STATS` accumulator that the benchmark
-harness snapshots.
+harness snapshots; every count goes through :func:`_bump`.
 """
 
 from __future__ import annotations
@@ -59,10 +67,6 @@ from .mna import LoadContext
 from .netlist import Circuit
 from .solvercost import DEFAULT_SOLVER_COST_MODEL
 from .sparse import PatternMatrix, SparsityPattern
-
-#: Size at which :func:`make_solver` hands a densely assembled system to
-#: the sparse backend.
-SPARSE_THRESHOLD = 512
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,19 @@ class EngineStats:
 GLOBAL_STATS = EngineStats()
 
 
+def _bump(sinks, **deltas) -> None:
+    """Add each ``name=n`` of ``deltas`` to that field of every stat sink."""
+    for sink in sinks:
+        for attr, n in deltas.items():
+            setattr(sink, attr, getattr(sink, attr) + n)
+
+
+def _set(sinks, attr: str, value) -> None:
+    """Set the ``attr`` gauge of every stat sink."""
+    for sink in sinks:
+        setattr(sink, attr, value)
+
+
 class _timed_stats:
     """Context manager adding elapsed wall time to one or more stat sinks."""
 
@@ -226,9 +243,7 @@ class _timed_stats:
         return self
 
     def __exit__(self, *exc):
-        elapsed = _time.perf_counter() - self._t0
-        for sink in self.sinks:
-            sink.wall_seconds += elapsed
+        _bump(self.sinks, wall_seconds=_time.perf_counter() - self._t0)
         return False
 
 
@@ -257,13 +272,11 @@ class LinearSolver:
         """Attach stat accumulators (engine stats + global stats)."""
         self._sinks = sinks
 
-    def _count(self, attr: str, n: int = 1) -> None:
-        for sink in self._sinks:
-            setattr(sink, attr, getattr(sink, attr) + n)
+    def _count(self, **deltas) -> None:
+        _bump(self._sinks, **deltas)
 
     def _gauge(self, attr: str, value) -> None:
-        for sink in self._sinks:
-            setattr(sink, attr, value)
+        _set(self._sinks, attr, value)
 
     def invalidate(self) -> None:
         """Drop any cached factorization."""
@@ -284,8 +297,7 @@ class LinearSolver:
         )
 
     def solve(self, a: np.ndarray, b: np.ndarray, token=None) -> np.ndarray:
-        self._count("factorizations")
-        self._count("solves")
+        self._count(factorizations=1, solves=1)
         return np.linalg.solve(a, b)
 
     def solve_batched(self, systems: np.ndarray,
@@ -303,8 +315,7 @@ class LinearSolver:
         """
         systems = np.asarray(systems)
         count = systems.shape[0]
-        self._count("factorizations", count)
-        self._count("solves", count)
+        self._count(factorizations=count, solves=count)
         rhs = np.asarray(rhs)
         if rhs.ndim == 1:
             rhs = np.broadcast_to(rhs, (count, rhs.shape[0]))
@@ -362,8 +373,7 @@ class DenseLUSolver(LinearSolver):
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
             raise AnalysisError("no cached LU factorization to reuse")
-        self._count("solves")
-        self._count("jacobian_reuses")
+        self._count(solves=1, jacobian_reuses=1)
         lu, piv, getrs = self._factor
         x, _info = getrs(lu, piv, b)
         return x
@@ -374,7 +384,7 @@ class DenseLUSolver(LinearSolver):
             and self._factor is not None
             and token == self._token
         ):
-            self._count("solves")
+            self._count(solves=1)
             lu, piv, getrs = self._factor
             x, _info = getrs(lu, piv, b)
             return x
@@ -400,8 +410,7 @@ class DenseLUSolver(LinearSolver):
         if info > 0 or not np.all(np.isfinite(lu)):
             self.invalidate()
             raise np.linalg.LinAlgError("singular matrix in LU factorization")
-        self._count("factorizations")
-        self._count("solves")
+        self._count(factorizations=1, solves=1)
         if token is not None:
             self._token, self._factor = token, (lu, piv, getrs)
         # An anonymous (token=None) factorization must not clobber a
@@ -415,11 +424,11 @@ class DenseLUSolver(LinearSolver):
 class SparseLUSolver(LinearSolver):
     """Sparse LU via ``scipy.sparse.linalg.splu``.
 
-    Accepts either a dense ndarray (converted per call — what a
-    dense-assembly engine at :data:`SPARSE_THRESHOLD` unknowns or more
-    hands it) or a :class:`~repro.spice.sparse.PatternMatrix` from the
+    Takes the :class:`~repro.spice.sparse.PatternMatrix` systems of the
     sparse assembly path, whose fixed CSC structure wraps into ``splu``
-    with zero copies and zero dense scans.
+    with zero copies and zero dense scans.  A dense ndarray is converted
+    per call; only the per-frequency noise loop hands it one (its
+    adjoint ``system.T`` is dense).
 
     ``permc_spec`` selects SuperLU's fill-reducing column ordering:
     ``"COLAMD"`` (approximate minimum degree), ``"NATURAL"`` (no
@@ -472,7 +481,7 @@ class SparseLUSolver(LinearSolver):
         if isinstance(a, PatternMatrix):
             matrix = a.to_csc()
             if a.pattern is self._last_pattern:
-                self._count("pattern_reuses")
+                self._count(pattern_reuses=1)
             self._last_pattern = a.pattern
         else:
             matrix = _sp.csc_matrix(np.asarray(a))
@@ -484,7 +493,7 @@ class SparseLUSolver(LinearSolver):
             "sparse", matrix.shape[0], matrix.nnz,
             _time.perf_counter() - t0, fill=fill,
         )
-        self._count("factorizations")
+        self._count(factorizations=1)
         self._gauge("factor_nnz", int(factor.nnz))
         self._gauge("fill_ratio", float(fill))
         return factor
@@ -499,8 +508,7 @@ class SparseLUSolver(LinearSolver):
     def solve_cached(self, b: np.ndarray) -> np.ndarray:
         if self._factor is None:
             raise AnalysisError("no cached LU factorization to reuse")
-        self._count("solves")
-        self._count("jacobian_reuses")
+        self._count(solves=1, jacobian_reuses=1)
         return self._factor.solve(b)
 
     def solve(self, a: np.ndarray, b: np.ndarray, token=None) -> np.ndarray:
@@ -509,31 +517,16 @@ class SparseLUSolver(LinearSolver):
             and self._factor is not None
             and token == self._token
         ):
-            self._count("solves")
+            self._count(solves=1)
             return self._factor.solve(b)
         factor = self._factorize(a)
-        self._count("solves")
+        self._count(solves=1)
         if token is not None:
             self._token, self._factor = token, factor
         # token=None: leave any token-cached factorization alone (see
         # DenseLUSolver.solve) — per-frequency AC fallbacks and batched
         # loops used to wipe the chord factor here on every call.
         return factor.solve(b)
-
-    def solve_batched(self, systems: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Per-system sparse LU: splu has no batched form, so this loops,
-        but still amortizes the Python-level sweep bookkeeping."""
-        systems = np.asarray(systems)
-        rhs = np.asarray(rhs)
-        shared = rhs.ndim == 1
-        out = np.empty(
-            systems.shape[:2] + rhs.shape[2:],
-            dtype=np.result_type(systems.dtype, rhs.dtype),
-        )
-        for k in range(systems.shape[0]):
-            out[k] = self.solve(systems[k], rhs if shared else rhs[k])
-        return out
 
     def solve_pattern_batched(self, pattern: SparsityPattern,
                               data: np.ndarray, rhs: np.ndarray,
@@ -556,9 +549,8 @@ class SparseLUSolver(LinearSolver):
             (batch, pattern.size) + rhs.shape[2:],
             dtype=np.result_type(data.dtype, rhs.dtype),
         )
-        self._count("factorizations", batch)
-        self._count("solves", batch)
-        self._count("pattern_reuses", batch)
+        self._count(factorizations=batch, solves=batch,
+                    pattern_reuses=batch)
         self._last_pattern = pattern
         for k in range(batch):
             matrix = pattern.csc(data[k])
@@ -571,18 +563,6 @@ class SparseLUSolver(LinearSolver):
             self._gauge("fill_ratio",
                         float(factor.nnz) / max(matrix.nnz, 1))
         return out
-
-
-def make_solver(size: int, permc_spec: str | None = None) -> LinearSolver:
-    """The solver backend for a densely assembled system of ``size``
-    unknowns: LAPACK LU below :data:`SPARSE_THRESHOLD`, SuperLU at or
-    above it.  ``permc_spec`` configures the sparse backend's
-    fill-reducing column ordering (e.g. ``"COLAMD"`` or ``"NATURAL"``;
-    see :class:`SparseLUSolver`) and is ignored by the dense one.
-    """
-    if size >= SPARSE_THRESHOLD:
-        return SparseLUSolver(permc_spec=permc_spec)
-    return DenseLUSolver()
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +722,8 @@ class BJTGroup:
         ci[ci < 0] = size
         bi[bi < 0] = size
         ei[ei < 0] = size
-        self.b_ext, self.s_ext = b_ext, s_ext
-        self.ci, self.bi, self.ei = ci, bi, ei
+        #: Terminal rows gathered once per evaluation by :meth:`_controls`.
+        self._terminals = np.stack([b_ext, s_ext, ci, bi, ei])
 
         def param(attr):
             return gather(getattr(d.params, attr) for d in self.devices)
@@ -1047,6 +1027,152 @@ class BJTGroup:
                 * (xg[self._c_cols_arr] - self._c_anchor),
             )
 
+    def _controls(self, xg: np.ndarray) -> tuple:
+        """Control voltages ``(vbe, vbc, vbx, vsc, vrb)`` of every device,
+        read on the last axis of ``xg`` (one solution or a lane stack)."""
+        sign = self.sign
+        v = xg.take(self._terminals, -1)
+        v_b, v_s, v_ci = v[..., 0, :], v[..., 1, :], v[..., 2, :]
+        v_bi, v_ei = v[..., 3, :], v[..., 4, :]
+        return (
+            sign * (v_bi - v_ei),
+            sign * (v_bi - v_ci),
+            sign * (v_b - v_ci),
+            sign * (v_s - v_ci),
+            v_b - v_bi,
+        )
+
+    def _stamp_values(self, controls, gmin, limits_list, out, idx=None):
+        """The device kernel shared by :meth:`load` and :meth:`load_stacked`.
+
+        ``controls`` are the raw control voltages from :meth:`_controls`
+        (gathered to ``idx`` when a bypass evaluates a device subset),
+        either ``(m,)`` for one solution or ``(L, m)`` for a lane stack;
+        ``limits_list`` holds one limits dict per lane.  The kernel runs
+        pnjlim against each lane's limiting history, the stacked
+        four-junction depletion batch and :meth:`_evaluate`, linearizes
+        about the limited voltages (companion form) and fills the caller's
+        ``out = (i, g, q, c)`` value buffers, shaped ``(..., 5, m)``,
+        ``(..., 13, m)``, ``(..., 8, m)`` and ``(..., 20, m)``.  All math
+        is elementwise on the last axis, so a stacked lane gets exactly
+        the arithmetic of a scalar call at that lane's solution.
+        """
+        vbe_raw, vbc_raw, vbx, vsc, vrb = controls
+        n = self.n
+        if idx is None:
+            m = n
+            sign, has_rb, names = self.sign, self.has_rb, self.names
+            lim_vt, lim_vcrit = self._lim_vt, self._lim_vcrit
+            lanes = None
+        else:
+            m = len(idx)
+            sign, has_rb = self.sign[idx], self.has_rb[idx]
+            names = [self.names[k] for k in idx]
+            idx2 = np.concatenate([idx, idx + n])
+            lim_vt, lim_vcrit = self._lim_vt[idx2], self._lim_vcrit[idx2]
+            lanes = np.concatenate(
+                [idx, idx + n, idx + 2 * n, idx + 3 * n]
+            )
+
+        v_raw = np.concatenate([vbe_raw, vbc_raw], axis=-1)
+        v_old = v_raw.copy()
+        for row, limits in zip(v_old.reshape(-1, 2 * m), limits_list):
+            for k, name in enumerate(names):
+                old = limits.get(name)
+                if old is not None:
+                    row[k], row[m + k] = old
+        v_lim = _pnjlim_vec(v_raw, v_old, lim_vt, lim_vcrit)
+        vbe = v_lim[..., :m]
+        vbc = v_lim[..., m:]
+        for limits, be, bc in zip(
+            limits_list, vbe.reshape(-1, m).tolist(),
+            vbc.reshape(-1, m).tolist(),
+        ):
+            for name, lim_be, lim_bc in zip(names, be, bc):
+                limits[name] = (lim_be, lim_bc)
+
+        # Stacked depletion batch: B-E and internal B-C at the limited
+        # voltages, external B-C and substrate at the raw ones.
+        qdep, cdep = self.junctions.charge_cap(
+            np.concatenate([vbe, vbc, vbx, vsc], axis=-1), lanes=lanes
+        )
+        qbx, cbx = qdep[..., 2 * m : 3 * m], cdep[..., 2 * m : 3 * m]
+        qjs, cjs = qdep[..., 3 * m :], cdep[..., 3 * m :]
+
+        op = self._evaluate(
+            vbe, vbc, gmin, qdep[..., :m], cdep[..., :m],
+            qdep[..., m : 2 * m], cdep[..., m : 2 * m], idx=idx,
+        )
+        dbe = vbe_raw - vbe
+        dbc = vbc_raw - vbc
+
+        grb = np.where(
+            has_rb, 1.0 / np.maximum(op["rbb"], 1e-3), 0.0
+        )
+        irb = grb * vrb
+
+        iv, gv, qv, cv = out
+        ic = op["ic"] + op["dic_dvbe"] * dbe + op["dic_dvbc"] * dbc
+        ib = op["ib"] + op["dib_dvbe"] * dbe + op["dib_dvbc"] * dbc
+        iv[..., 0, :] = irb
+        iv[..., 1, :] = -irb
+        iv[..., 2, :] = sign * ic
+        iv[..., 3, :] = sign * ib
+        iv[..., 4, :] = -sign * (ic + ib)
+
+        dic_e, dic_c = op["dic_dvbe"], op["dic_dvbc"]
+        dib_e, dib_c = op["dib_dvbe"], op["dib_dvbc"]
+        gv[..., 0, :] = grb
+        gv[..., 1, :] = -grb
+        gv[..., 2, :] = -grb
+        gv[..., 3, :] = grb
+        gv[..., 4, :] = dic_e + dic_c
+        gv[..., 5, :] = -dic_e
+        gv[..., 6, :] = -dic_c
+        gv[..., 7, :] = dib_e + dib_c
+        gv[..., 8, :] = -dib_e
+        gv[..., 9, :] = -dib_c
+        gv[..., 10, :] = -(dic_e + dib_e) - (dic_c + dib_c)
+        gv[..., 11, :] = dic_e + dib_e
+        gv[..., 12, :] = dic_c + dib_c
+
+        # Charges: B'-E', B'-C' in companion form (their voltages are
+        # limited); B-C' and S-C' at the raw external voltages.
+        qbe = op["qbe"] + op["dqbe_dvbe"] * dbe + op["dqbe_dvbc"] * dbc
+        qbc = op["qbc"] + op["dqbc_dvbc"] * dbc
+        qv[..., 0, :] = sign * qbe
+        qv[..., 1, :] = -sign * qbe
+        qv[..., 2, :] = sign * qbc
+        qv[..., 3, :] = -sign * qbc
+        qv[..., 4, :] = sign * qbx
+        qv[..., 5, :] = -sign * qbx
+        qv[..., 6, :] = sign * qjs
+        qv[..., 7, :] = -sign * qjs
+
+        cpi = op["dqbe_dvbe"]
+        cx = op["dqbe_dvbc"]
+        cmu = op["dqbc_dvbc"]
+        cv[..., 0, :] = cpi
+        cv[..., 1, :] = -cpi
+        cv[..., 2, :] = -cpi
+        cv[..., 3, :] = cpi
+        cv[..., 4, :] = cx
+        cv[..., 5, :] = -cx
+        cv[..., 6, :] = -cx
+        cv[..., 7, :] = cx
+        cv[..., 8, :] = cmu
+        cv[..., 9, :] = -cmu
+        cv[..., 10, :] = -cmu
+        cv[..., 11, :] = cmu
+        cv[..., 12, :] = cbx
+        cv[..., 13, :] = -cbx
+        cv[..., 14, :] = -cbx
+        cv[..., 15, :] = cbx
+        cv[..., 16, :] = cjs
+        cv[..., 17, :] = -cjs
+        cv[..., 18, :] = -cjs
+        cv[..., 19, :] = cjs
+
     def load(
         self,
         ctx: LoadContext,
@@ -1066,28 +1192,14 @@ class BJTGroup:
         xg[:size] = ctx.x
         xg[size] = 0.0
         jac_alpha = ctx.jac_alpha
-        v_b = xg[self.b_ext]
-        v_s = xg[self.s_ext]
-        v_ci = xg[self.ci]
-        v_bi = xg[self.bi]
-        v_ei = xg[self.ei]
-        sign = self.sign
-
+        controls = self._controls(xg)
         n = self.n
-        vbe_raw = sign * (v_bi - v_ei)
-        vbc_raw = sign * (v_bi - v_ci)
-        vbx = sign * (v_b - v_ci)
-        vsc = sign * (v_s - v_ci)
-        vrb = v_b - v_bi
 
         idx = None
         if bypass_tol > 0.0:
             v_now = self._v_now
-            v_now[0] = vbe_raw
-            v_now[1] = vbc_raw
-            v_now[2] = vbx
-            v_now[3] = vsc
-            v_now[4] = vrb
+            for k, values in enumerate(controls):
+                v_now[k] = values
             # A fresh limits dict (new analysis, retry with different
             # limiting history) or a different gmin invalidates the
             # cached stamps; identity comparison is safe because the
@@ -1126,133 +1238,19 @@ class BJTGroup:
             self._bypass_gmin = None
             self._bypass_v.fill(np.inf)
 
+        vals = (self._i_vals, self._g_vals, self._q_vals, self._c_vals)
         if idx is None:
             m = n
-            vbe_a, vbc_a = vbe_raw, vbc_raw
-            vbx_a, vsc_a, vrb_a = vbx, vsc, vrb
-            sign_a, has_rb = sign, self.has_rb
-            names_a = self.names
-            lim_vt, lim_vcrit = self._lim_vt, self._lim_vcrit
-            lanes = None
+            self._stamp_values(controls, ctx.gmin, [ctx.limits], vals)
         else:
             m = len(idx)
-            vbe_a, vbc_a = vbe_raw[idx], vbc_raw[idx]
-            vbx_a, vsc_a, vrb_a = vbx[idx], vsc[idx], vrb[idx]
-            sign_a, has_rb = sign[idx], self.has_rb[idx]
-            names_a = [self.names[k] for k in idx]
-            idx2 = np.concatenate([idx, idx + n])
-            lim_vt, lim_vcrit = self._lim_vt[idx2], self._lim_vcrit[idx2]
-            lanes = np.concatenate(
-                [idx, idx + n, idx + 2 * n, idx + 3 * n]
+            part = tuple(np.empty((v.shape[0], m)) for v in vals)
+            self._stamp_values(
+                [v[idx] for v in controls], ctx.gmin, [ctx.limits], part,
+                idx=idx,
             )
-
-        limits = ctx.limits
-        v_raw = np.concatenate([vbe_a, vbc_a])
-        v_old = v_raw.copy()
-        for k, name in enumerate(names_a):
-            old = limits.get(name)
-            if old is not None:
-                v_old[k], v_old[m + k] = old
-        v_lim = _pnjlim_vec(v_raw, v_old, lim_vt, lim_vcrit)
-        vbe = v_lim[:m]
-        vbc = v_lim[m:]
-        for name, lim_be, lim_bc in zip(
-            names_a, vbe.tolist(), vbc.tolist()
-        ):
-            limits[name] = (lim_be, lim_bc)
-
-        # Stacked depletion batch: B-E and internal B-C at the limited
-        # voltages, external B-C and substrate at the raw ones.
-        qdep, cdep = self.junctions.charge_cap(
-            np.concatenate([vbe, vbc, vbx_a, vsc_a]), lanes=lanes
-        )
-        qbx, cbx = qdep[2 * m : 3 * m], cdep[2 * m : 3 * m]
-        qjs, cjs = qdep[3 * m :], cdep[3 * m :]
-
-        op = self._evaluate(
-            vbe, vbc, ctx.gmin, qdep[:m], cdep[:m],
-            qdep[m : 2 * m], cdep[m : 2 * m], idx=idx,
-        )
-        dbe = vbe_a - vbe
-        dbc = vbc_a - vbc
-
-        grb = np.where(
-            has_rb, 1.0 / np.maximum(op["rbb"], 1e-3), 0.0
-        )
-        irb = grb * vrb_a
-
-        ic = op["ic"] + op["dic_dvbe"] * dbe + op["dic_dvbc"] * dbc
-        ib = op["ib"] + op["dib_dvbe"] * dbe + op["dib_dvbc"] * dbc
-        if idx is None:
-            iv, gv = self._i_vals, self._g_vals
-            qv, cv = self._q_vals, self._c_vals
-        else:
-            iv, gv = np.empty((5, m)), np.empty((13, m))
-            qv, cv = np.empty((8, m)), np.empty((20, m))
-        iv[0] = irb
-        iv[1] = -irb
-        iv[2] = sign_a * ic
-        iv[3] = sign_a * ib
-        iv[4] = -sign_a * (ic + ib)
-
-        dic_e, dic_c = op["dic_dvbe"], op["dic_dvbc"]
-        dib_e, dib_c = op["dib_dvbe"], op["dib_dvbc"]
-        gv[0] = grb
-        gv[1] = -grb
-        gv[2] = -grb
-        gv[3] = grb
-        gv[4] = dic_e + dic_c
-        gv[5] = -dic_e
-        gv[6] = -dic_c
-        gv[7] = dib_e + dib_c
-        gv[8] = -dib_e
-        gv[9] = -dib_c
-        gv[10] = -(dic_e + dib_e) - (dic_c + dib_c)
-        gv[11] = dic_e + dib_e
-        gv[12] = dic_c + dib_c
-
-        # Charges: B'-E', B'-C' in companion form (their voltages are
-        # limited); B-C' and S-C' at the raw external voltages.
-        qbe = op["qbe"] + op["dqbe_dvbe"] * dbe + op["dqbe_dvbc"] * dbc
-        qbc = op["qbc"] + op["dqbc_dvbc"] * dbc
-        qv[0] = sign_a * qbe
-        qv[1] = -sign_a * qbe
-        qv[2] = sign_a * qbc
-        qv[3] = -sign_a * qbc
-        qv[4] = sign_a * qbx
-        qv[5] = -sign_a * qbx
-        qv[6] = sign_a * qjs
-        qv[7] = -sign_a * qjs
-
-        cpi = op["dqbe_dvbe"]
-        cx = op["dqbe_dvbc"]
-        cmu = op["dqbc_dvbc"]
-        cv[0] = cpi
-        cv[1] = -cpi
-        cv[2] = -cpi
-        cv[3] = cpi
-        cv[4] = cx
-        cv[5] = -cx
-        cv[6] = -cx
-        cv[7] = cx
-        cv[8] = cmu
-        cv[9] = -cmu
-        cv[10] = -cmu
-        cv[11] = cmu
-        cv[12] = cbx
-        cv[13] = -cbx
-        cv[14] = -cbx
-        cv[15] = cbx
-        cv[16] = cjs
-        cv[17] = -cjs
-        cv[18] = -cjs
-        cv[19] = cjs
-
-        if idx is not None:
-            self._i_vals[:, idx] = iv
-            self._g_vals[:, idx] = gv
-            self._q_vals[:, idx] = qv
-            self._c_vals[:, idx] = cv
+            for full, values in zip(vals, part):
+                full[:, idx] = values
         if bypass_tol > 0.0:
             if idx is None:
                 self._g_anchor[...] = xg[self._g_cols_arr]
@@ -1279,10 +1277,9 @@ class BJTGroup:
     ) -> None:
         """Stamp every device for a ``(L, n)`` stack of solutions at once.
 
-        The lane-stacked twin of :meth:`load` at ``bypass_tol == 0``: the
-        per-device math is purely elementwise, so adding a leading lane
-        axis runs the identical arithmetic per lane — each lane's stamps
-        are bit-identical to a scalar :meth:`load` at that lane's ``x``.
+        The lane-stacked form of :meth:`load` at ``bypass_tol == 0``:
+        both run :meth:`_stamp_values`, so each lane's stamps are
+        bit-identical to a scalar :meth:`load` at that lane's ``x``.
         Scatter targets are per-lane flats (``i_full``/``q_full`` are
         ``(L, size+1)``, ``g_flat``/``c_flat`` are ``(L, flat)``); the
         ``np.add.at`` broadcast iterates lane-major, preserving each
@@ -1291,121 +1288,16 @@ class BJTGroup:
         touched, so interleaved scalar bypassing stays coherent.
         """
         L = x_stack.shape[0]
-        size = self.size
         n = self.n
-        xg = np.zeros((L, size + 1))
-        xg[:, :size] = x_stack
-        v_b = xg[:, self.b_ext]
-        v_s = xg[:, self.s_ext]
-        v_ci = xg[:, self.ci]
-        v_bi = xg[:, self.bi]
-        v_ei = xg[:, self.ei]
-        sign = self.sign
-
-        vbe_raw = sign * (v_bi - v_ei)
-        vbc_raw = sign * (v_bi - v_ci)
-        vbx = sign * (v_b - v_ci)
-        vsc = sign * (v_s - v_ci)
-        vrb = v_b - v_bi
-
-        v_raw = np.concatenate([vbe_raw, vbc_raw], axis=1)
-        v_old = v_raw.copy()
-        names = self.names
-        for li, limits in enumerate(limits_list):
-            row = v_old[li]
-            for k, name in enumerate(names):
-                old = limits.get(name)
-                if old is not None:
-                    row[k], row[n + k] = old
-        v_lim = _pnjlim_vec(v_raw, v_old, self._lim_vt, self._lim_vcrit)
-        vbe = v_lim[:, :n]
-        vbc = v_lim[:, n:]
-        for li, limits in enumerate(limits_list):
-            for name, lim_be, lim_bc in zip(
-                names, vbe[li].tolist(), vbc[li].tolist()
-            ):
-                limits[name] = (lim_be, lim_bc)
-
-        qdep, cdep = self.junctions.charge_cap(
-            np.concatenate([vbe, vbc, vbx, vsc], axis=1)
-        )
-        qbx, cbx = qdep[:, 2 * n : 3 * n], cdep[:, 2 * n : 3 * n]
-        qjs, cjs = qdep[:, 3 * n :], cdep[:, 3 * n :]
-
-        op = self._evaluate(
-            vbe, vbc, gmin, qdep[:, :n], cdep[:, :n],
-            qdep[:, n : 2 * n], cdep[:, n : 2 * n],
-        )
-        dbe = vbe_raw - vbe
-        dbc = vbc_raw - vbc
-
-        grb = np.where(
-            self.has_rb, 1.0 / np.maximum(op["rbb"], 1e-3), 0.0
-        )
-        irb = grb * vrb
-
-        ic = op["ic"] + op["dic_dvbe"] * dbe + op["dic_dvbc"] * dbc
-        ib = op["ib"] + op["dib_dvbe"] * dbe + op["dib_dvbc"] * dbc
+        xg = np.zeros((L, self.size + 1))
+        xg[:, : self.size] = x_stack
         iv = np.empty((L, 5, n))
         gv = np.empty((L, 13, n))
         qv = np.empty((L, 8, n))
         cv = np.empty((L, 20, n))
-        iv[:, 0] = irb
-        iv[:, 1] = -irb
-        iv[:, 2] = sign * ic
-        iv[:, 3] = sign * ib
-        iv[:, 4] = -sign * (ic + ib)
-
-        dic_e, dic_c = op["dic_dvbe"], op["dic_dvbc"]
-        dib_e, dib_c = op["dib_dvbe"], op["dib_dvbc"]
-        gv[:, 0] = grb
-        gv[:, 1] = -grb
-        gv[:, 2] = -grb
-        gv[:, 3] = grb
-        gv[:, 4] = dic_e + dic_c
-        gv[:, 5] = -dic_e
-        gv[:, 6] = -dic_c
-        gv[:, 7] = dib_e + dib_c
-        gv[:, 8] = -dib_e
-        gv[:, 9] = -dib_c
-        gv[:, 10] = -(dic_e + dib_e) - (dic_c + dib_c)
-        gv[:, 11] = dic_e + dib_e
-        gv[:, 12] = dic_c + dib_c
-
-        qbe = op["qbe"] + op["dqbe_dvbe"] * dbe + op["dqbe_dvbc"] * dbc
-        qbc = op["qbc"] + op["dqbc_dvbc"] * dbc
-        qv[:, 0] = sign * qbe
-        qv[:, 1] = -sign * qbe
-        qv[:, 2] = sign * qbc
-        qv[:, 3] = -sign * qbc
-        qv[:, 4] = sign * qbx
-        qv[:, 5] = -sign * qbx
-        qv[:, 6] = sign * qjs
-        qv[:, 7] = -sign * qjs
-
-        cpi = op["dqbe_dvbe"]
-        cx = op["dqbe_dvbc"]
-        cmu = op["dqbc_dvbc"]
-        cv[:, 0] = cpi
-        cv[:, 1] = -cpi
-        cv[:, 2] = -cpi
-        cv[:, 3] = cpi
-        cv[:, 4] = cx
-        cv[:, 5] = -cx
-        cv[:, 6] = -cx
-        cv[:, 7] = cx
-        cv[:, 8] = cmu
-        cv[:, 9] = -cmu
-        cv[:, 10] = -cmu
-        cv[:, 11] = cmu
-        cv[:, 12] = cbx
-        cv[:, 13] = -cbx
-        cv[:, 14] = -cbx
-        cv[:, 15] = cbx
-        cv[:, 16] = cjs
-        cv[:, 17] = -cjs
-        cv[:, 18] = -cjs
-        cv[:, 19] = cjs
+        self._stamp_values(
+            self._controls(xg), gmin, limits_list, (iv, gv, qv, cv)
+        )
 
         lane = np.arange(L)[:, None]
         np.add.at(i_full, (lane, self._i_rows[None, :]), iv.reshape(L, -1))
@@ -1648,8 +1540,7 @@ class CompiledCircuit:
     copy what they need to keep.
     """
 
-    def __init__(self, circuit: Circuit, solver: LinearSolver | None = None,
-                 mode: str | None = None):
+    def __init__(self, circuit: Circuit, mode: str | None = None):
         t0 = _time.perf_counter()
         self.circuit = circuit
         size = circuit.assign_indices()
@@ -1657,6 +1548,8 @@ class CompiledCircuit:
         self.num_nodes = len(circuit.node_map)
         self.generation = circuit._generation
         self.stats = EngineStats()
+        #: Stat sinks every count of this engine and its solver lands in.
+        self._sinks = (self.stats, GLOBAL_STATS)
         if mode not in (None, "auto", "dense", "sparse"):
             raise AnalysisError(
                 f"unknown assembly mode {mode!r}; expected 'auto', "
@@ -1748,30 +1641,12 @@ class CompiledCircuit:
             size, np.concatenate(slot_rows), np.concatenate(slot_cols)
         )
 
-        # -- assembly-mode decision ----------------------------------------
-        requested = mode or "auto"
-        if requested == "auto":
-            if solver is not None and not isinstance(solver, SparseLUSolver):
-                # An explicitly supplied non-sparse solver cannot consume
-                # PatternMatrix systems natively; honor it densely.
-                backend = "dense"
-            else:
-                backend = DEFAULT_SOLVER_COST_MODEL.choose(
-                    size, self.pattern.nnz
-                )
-        else:
-            backend = requested
-        if backend == "sparse":
-            if solver is None:
-                solver = SparseLUSolver(
-                    permc_spec=getattr(self.circuit, "_permc_spec", None)
-                )
-            elif not isinstance(solver, SparseLUSolver):
-                raise AnalysisError(
-                    f"sparse assembly requires a SparseLUSolver backend, "
-                    f"got {solver.name!r}"
-                )
+        # -- assembly-mode decision: the backend also picks the solver ----
+        backend = mode or "auto"
+        if backend == "auto":
+            backend = DEFAULT_SOLVER_COST_MODEL.choose(size, self.pattern.nnz)
         self.assembly = backend
+        self._assembly_counter = f"{backend}_assemblies"
 
         if backend == "sparse":
             pattern = self.pattern
@@ -1795,8 +1670,10 @@ class CompiledCircuit:
                 self._bjt_group.bind_sparse(
                     pattern, self._g_data, self._c_data
                 )
-            self.stats.pattern_nnz = pattern.nnz
-            GLOBAL_STATS.pattern_nnz = pattern.nnz
+            _set(self._sinks, "pattern_nnz", pattern.nnz)
+            self.solver = SparseLUSolver(
+                permc_spec=getattr(self.circuit, "_permc_spec", None)
+            )
         else:
             self._g0 = _CooContext.densify(
                 size, probe.g_rows, probe.g_cols, probe.g_vals
@@ -1808,20 +1685,18 @@ class CompiledCircuit:
             self._c_full = np.zeros((n1, n1))
             if self._bjt_group is not None:
                 self._bjt_group.bind_dense(self._g_full, self._c_full)
+            self.solver = DenseLUSolver()
 
-        self.solver = solver if solver is not None else make_solver(
-            size, permc_spec=getattr(self.circuit, "_permc_spec", None)
-        )
-        self.solver.bind(self.stats, GLOBAL_STATS)
-        self.stats.solver = self.solver.name
-        self.stats.assembly = backend
-        GLOBAL_STATS.solver = self.solver.name
-        GLOBAL_STATS.assembly = backend
-        self.stats.compilations += 1
-        GLOBAL_STATS.compilations += 1
-        elapsed = _time.perf_counter() - t0
-        self.stats.wall_seconds += elapsed
-        GLOBAL_STATS.wall_seconds += elapsed
+        self.solver.bind(*self._sinks)
+        _set(self._sinks, "solver", self.solver.name)
+        _set(self._sinks, "assembly", backend)
+        self.count(compilations=1,
+                   wall_seconds=_time.perf_counter() - t0)
+
+    def count(self, **deltas) -> None:
+        """Add each ``name=n`` of ``deltas`` to this engine's stats and
+        to :data:`GLOBAL_STATS`."""
+        _bump(self._sinks, **deltas)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -1863,58 +1738,22 @@ class CompiledCircuit:
         size = self.size
         i = self._i_full[:size]
         q = self._q_full[:size]
-        sparse = self.assembly == "sparse"
-        if sparse:
+        if self.assembly == "sparse":
             # Flat nnz-length assembly: no (n, n) buffer exists, let
-            # alone gets written.  The constant stamps are CSR matvecs
-            # (O(nnz)) and base-value copies into the pattern data.
-            g = self._g_pm
-            c = self._c_pm
-            q[:] = self._c0_csr.dot(x)
-            q += self._q0
+            # alone gets written.
+            g, c = self._g_pm, self._c_pm
+            g_data, c_data = self._g_data, self._c_data
         else:
-            g = self._g_full[:size, :size]
-            c = self._c_full[:size, :size]
-            np.dot(self._c0, x, out=q)
-            q += self._q0
-        if not charges_only:
-            if residual_only:
-                # Caller will reuse a cached factorization: leave the
-                # stale g/c buffers alone.  Device stamps still land in
-                # them, which is harmless — nothing reads the Jacobian
-                # on a chord-reuse iteration.
-                pass
-            elif sparse:
-                if jac_alpha is not None:
-                    np.multiply(self._base_c, jac_alpha, out=self._g_data)
-                    self._g_data += self._base_g
-                else:
-                    np.copyto(self._g_data, self._base_g)
-                    np.copyto(self._c_data, self._base_c)
-            elif jac_alpha is not None:
-                np.multiply(self._c0, jac_alpha, out=g)
-                g += self._g0
-            else:
-                np.copyto(g, self._g0)
-                np.copyto(c, self._c0)
-            if sparse:
-                i[:] = self._g0_csr.dot(x)
-                i += self._i0
-            else:
-                np.dot(self._g0, x, out=i)
-                i += self._i0
-
-            if source_scale != 0.0:
-                if self._has_src_dc:
-                    if source_scale == 1.0:
-                        i += self._src_dc
-                    else:
-                        i += self._src_dc * source_scale
-                for element, rows in self._source_rows:
-                    value = element.source_value(time) * source_scale
-                    if value != 0.0:
-                        for row, coeff in rows:
-                            i[row] += coeff * value
+            g = g_data = self._g_full[:size, :size]
+            c = c_data = self._c_full[:size, :size]
+        self._linear_residual(x, i, q, charges_only)
+        # residual_only: the caller will reuse a cached factorization, so
+        # the stale g/c buffers are left alone.  Device stamps still land
+        # in them, which is harmless — nothing reads the Jacobian on a
+        # chord-reuse iteration.
+        if not (charges_only or residual_only):
+            self._base_jacobian(g_data, c_data, jac_alpha)
+        self._add_offsets(i, q, time, source_scale, charges_only)
 
         ctx = LoadContext(
             size, x, time, gmin, source_scale, buffers=(i, g, q, c)
@@ -1945,31 +1784,8 @@ class CompiledCircuit:
             for element in self._scalar_dynamic:
                 element.load_dynamic(ctx)
 
-        self.stats.assemblies += 1
-        GLOBAL_STATS.assemblies += 1
-        if sparse:
-            self.stats.sparse_assemblies += 1
-            GLOBAL_STATS.sparse_assemblies += 1
-        else:
-            self.stats.dense_assemblies += 1
-            GLOBAL_STATS.dense_assemblies += 1
-        self.stats.element_evals += self._eval_cost - bypassed
-        GLOBAL_STATS.element_evals += self._eval_cost - bypassed
-        if bypassed:
-            self.stats.bypassed_evals += bypassed
-            GLOBAL_STATS.bypassed_evals += bypassed
+        self._count_assemblies(1, self._eval_cost - bypassed, bypassed)
         return ctx
-
-    @property
-    def supports_stacked_evaluate(self) -> bool:
-        """Whether :meth:`evaluate_stacked` covers this circuit.
-
-        True when every nonlinear device belongs to the vectorized BJT
-        group — scalar-dynamic elements (diodes, behavioral elements)
-        would need a per-lane Python loop, which is exactly what the
-        stacked path exists to avoid.
-        """
-        return not self._scalar_dynamic
 
     def evaluate_stacked(
         self,
@@ -1982,15 +1798,18 @@ class CompiledCircuit:
         """Assemble I, G (and optionally C, Q) for a ``(L, n)`` solution
         stack in one vectorized pass.
 
-        The lane-stacked twin of :meth:`evaluate` at its DC defaults
+        The lane-stacked form of :meth:`evaluate` at its DC defaults
         (``time=None``, ``bypass_tol=0``): every lane's arrays are
         bit-identical to a scalar :meth:`evaluate` at that lane's ``x``
-        with that lane's ``limits`` dict.  The base-stamp matvecs stay
-        per-lane (matching the scalar BLAS/CSR call exactly); everything
-        device-side runs stacked through
-        :meth:`BJTGroup.load_stacked`.  Buffers are freshly allocated
-        per call — unlike :meth:`evaluate`, the returned views survive
-        subsequent calls.
+        with that lane's ``limits`` dict.  Both share the constant-stamp
+        and source code; the base-stamp matvecs run per lane (matching
+        the scalar BLAS/CSR call exactly), the BJT group runs stacked
+        through :meth:`BJTGroup.load_stacked`, and scalar-dynamic
+        elements (diodes, BJT subclasses) are loaded lane by lane into
+        row views of the stacked buffers, after the group as in
+        :meth:`evaluate`.  Buffers are freshly allocated per call —
+        unlike :meth:`evaluate`, the returned views survive subsequent
+        calls.
         """
         size = self.size
         n1 = size + 1
@@ -2000,67 +1819,106 @@ class CompiledCircuit:
         sparse = self.assembly == "sparse"
         i_full = np.zeros((L, n1))
         q_full = np.zeros((L, n1))
-        c_buf = None
+        i, q = i_full[:, :size], q_full[:, :size]
+        shape = (L, self.pattern.nnz + 1) if sparse else (L, n1, n1)
+        g_buf = np.zeros(shape)
+        # Scalar-dynamic elements stamp C unconditionally, so they get a
+        # C stack even when the caller does not want one back.
+        c_buf = (np.zeros(shape) if with_c or self._scalar_dynamic
+                 else None)
         if sparse:
-            g_buf = np.empty((L, self.pattern.nnz + 1))
-            g_buf[:] = self._base_g
-            if with_c:
-                c_buf = np.empty((L, self.pattern.nnz + 1))
-                c_buf[:] = self._base_c
-            for k in range(L):
-                i_full[k, :size] = self._g0_csr.dot(x_stack[k])
-                q_full[k, :size] = self._c0_csr.dot(x_stack[k])
+            g, c = g_buf, c_buf
         else:
-            g_buf = np.zeros((L, n1, n1))
-            g_buf[:, :size, :size] = self._g0
-            if with_c:
-                c_buf = np.zeros((L, n1, n1))
-                c_buf[:, :size, :size] = self._c0
-            for k in range(L):
-                i_full[k, :size] = np.dot(self._g0, x_stack[k])
-                q_full[k, :size] = np.dot(self._c0, x_stack[k])
-        i_full[:, :size] += self._i0
-        q_full[:, :size] += self._q0
+            g = g_buf[:, :size, :size]
+            c = None if c_buf is None else c_buf[:, :size, :size]
+        for k in range(L):
+            self._linear_residual(x_stack[k], i[k], q[k])
+        self._base_jacobian(g, c)
+        self._add_offsets(i, q, None, source_scale)
 
+        if self._bjt_group is not None:
+            self._bjt_group.load_stacked(
+                x_stack, gmin, limits_list, i_full, q_full,
+                g_buf.reshape(L, -1),
+                c_buf.reshape(L, -1) if with_c else None,
+            )
+        if self._scalar_dynamic:
+            for k in range(L):
+                if sparse:
+                    g_k = PatternMatrix(self.pattern, g_buf[k])
+                    c_k = PatternMatrix(self.pattern, c_buf[k])
+                else:
+                    g_k, c_k = g[k], c[k]
+                ctx = LoadContext(size, x_stack[k], None, gmin,
+                                  source_scale, buffers=(i[k], g_k, q[k], c_k))
+                ctx.limits = limits_list[k]
+                for element in self._scalar_dynamic:
+                    element.load_dynamic(ctx)
+
+        self._count_assemblies(L, self._eval_cost * L)
+        if sparse:
+            nnz = self.pattern.nnz
+            g = g_buf[:, :nnz]
+            c = c_buf[:, :nnz] if with_c else None
+        elif not with_c:
+            c = None
+        return StackedContext(i, g, q, c)
+
+    def _linear_residual(self, x, i, q, charges_only: bool = False) -> None:
+        """``q = C0 @ x`` and ``i = G0 @ x`` for one solution: a BLAS
+        matvec (dense) or a CSR matvec over the constant stamps
+        (sparse, O(nnz)).  :meth:`evaluate_stacked` calls it once per
+        lane, so every lane gets the scalar call's exact arithmetic."""
+        if self.assembly == "sparse":
+            q[:] = self._c0_csr.dot(x)
+            if not charges_only:
+                i[:] = self._g0_csr.dot(x)
+        else:
+            np.dot(self._c0, x, out=q)
+            if not charges_only:
+                np.dot(self._g0, x, out=i)
+
+    def _base_jacobian(self, g, c, jac_alpha: float | None = None) -> None:
+        """Reset ``g`` and ``c`` to the constant stamps (dense matrices or
+        pattern data, optionally lane-stacked); with ``jac_alpha`` set
+        ``g`` gets the fused ``G0 + alpha*C0`` and ``c`` is left alone."""
+        if self.assembly == "sparse":
+            g0, c0 = self._base_g, self._base_c
+        else:
+            g0, c0 = self._g0, self._c0
+        if jac_alpha is not None:
+            np.multiply(c0, jac_alpha, out=g)
+            g += g0
+        else:
+            np.copyto(g, g0)
+            if c is not None:
+                np.copyto(c, c0)
+
+    def _add_offsets(self, i, q, time, source_scale: float,
+                     charges_only: bool = False) -> None:
+        """Add the constant residual/charge offsets and the independent
+        source rows to ``i``/``q`` (one solution or a lane stack)."""
+        q += self._q0
+        if charges_only:
+            return
+        i += self._i0
         if source_scale != 0.0:
             if self._has_src_dc:
                 if source_scale == 1.0:
-                    i_full[:, :size] += self._src_dc
+                    i += self._src_dc
                 else:
-                    i_full[:, :size] += self._src_dc * source_scale
+                    i += self._src_dc * source_scale
             for element, rows in self._source_rows:
-                value = element.source_value(None) * source_scale
+                value = element.source_value(time) * source_scale
                 if value != 0.0:
                     for row, coeff in rows:
-                        i_full[:, row] += coeff * value
+                        i[..., row] += coeff * value
 
-        if self._bjt_group is not None:
-            if sparse:
-                g_flat, c_flat = g_buf, c_buf
-            else:
-                g_flat = g_buf.reshape(L, -1)
-                c_flat = c_buf.reshape(L, -1) if with_c else None
-            self._bjt_group.load_stacked(
-                x_stack, gmin, limits_list, i_full, q_full, g_flat, c_flat
-            )
-
-        self.stats.assemblies += L
-        GLOBAL_STATS.assemblies += L
-        if sparse:
-            self.stats.sparse_assemblies += L
-            GLOBAL_STATS.sparse_assemblies += L
-            g_view = g_buf[:, : self.pattern.nnz]
-            c_view = c_buf[:, : self.pattern.nnz] if with_c else None
-        else:
-            self.stats.dense_assemblies += L
-            GLOBAL_STATS.dense_assemblies += L
-            g_view = g_buf[:, :size, :size]
-            c_view = c_buf[:, :size, :size] if with_c else None
-        self.stats.element_evals += self._eval_cost * L
-        GLOBAL_STATS.element_evals += self._eval_cost * L
-        return StackedContext(
-            i_full[:, :size], g_view, q_full[:, :size], c_view
-        )
+    def _count_assemblies(self, lanes: int, evals: int,
+                          bypassed: int = 0) -> None:
+        _bump(self._sinks, assemblies=lanes, element_evals=evals,
+              bypassed_evals=bypassed,
+              **{self._assembly_counter: lanes})
 
     def solve(self, a: np.ndarray, b: np.ndarray, token=None,
               chord: bool = False) -> np.ndarray:
@@ -2132,12 +1990,10 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 
 
-def compile_circuit(
-    circuit: Circuit, solver: LinearSolver | None = None,
-    mode: str | None = None,
-) -> CompiledCircuit:
+def compile_circuit(circuit: Circuit, mode: str | None = None
+                    ) -> CompiledCircuit:
     """Compile ``circuit`` into a fresh :class:`CompiledCircuit`."""
-    return CompiledCircuit(circuit, solver=solver, mode=mode)
+    return CompiledCircuit(circuit, mode=mode)
 
 
 def get_engine(circuit: Circuit, mode: str | None = None) -> CompiledCircuit:

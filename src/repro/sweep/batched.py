@@ -567,21 +567,18 @@ class BlockedACSweep(_BlockedDeckSweep):
             self._ensure()
             if not np.any(self._rhs):
                 raise AnalysisError(_NO_STIMULUS)
-            if len(x) > 1 and self._engine.supports_stacked_evaluate:
+            if len(x) > 1:
                 # Each lane's G/C is bit-identical to the scalar
                 # _small_signal at that point (a single lane takes the
                 # cheaper scalar evaluate); the stacked buffers are
                 # freshly allocated, so overrides go straight into them.
                 sctx = self._engine.evaluate_stacked(
-                    x, gmin=self._gmin,
-                    limits_list=[dict() for _ in range(len(x))],
-                    with_c=True,
+                    x, gmin=self._gmin, with_c=True
                 )
                 g_stack, c_stack = sctx.g, sctx.c
             else:
-                pairs = [self._small_signal(lane) for lane in x]
-                g_stack = np.stack([g for g, _ in pairs])
-                c_stack = np.stack([c for _, c in pairs])
+                g, c = self._small_signal(x[0])
+                g_stack, c_stack = g[None], c[None]
             for j, params in enumerate(chunk_params):
                 self._apply_overrides(g_stack[j], c_stack[j],
                                       self._override_deltas(params))

@@ -19,7 +19,6 @@ from repro.spice import (
     SparseLUSolver,
     compile_circuit,
     get_engine,
-    make_solver,
     parse_deck,
     resolve_engine,
     run_deck,
@@ -42,7 +41,6 @@ from repro.spice.elements import (
     Sine,
     VoltageSource,
 )
-from repro.spice.engine import SPARSE_THRESHOLD
 from repro.spice.mna import load_circuit
 
 DECK_DIR = Path(__file__).resolve().parents[2] / "examples" / "decks"
@@ -290,11 +288,17 @@ class TestLinearSolvers:
             SparseLUSolver().solve(a, b), np.linalg.solve(a, b),
         )
 
-    def test_make_solver_size_threshold(self):
-        assert isinstance(make_solver(8), DenseLUSolver)
-        assert isinstance(make_solver(SPARSE_THRESHOLD - 1), DenseLUSolver)
-        assert isinstance(make_solver(SPARSE_THRESHOLD), SparseLUSolver)
-        assert isinstance(make_solver(SPARSE_THRESHOLD + 1), SparseLUSolver)
+    def test_dense_assembly_gets_lapack_at_any_size(self):
+        # The assembly backend picks the solver: a dense-assembly engine
+        # factorizes with LAPACK even far past the sparse crossover.
+        ladder = "ladder\nV1 n0 0 DC 1\n" + "\n".join(
+            f"R{k} n{k - 1} n{k} 1k" for k in range(1, 1001)
+        ) + "\nRL n1000 0 1k\n.OP\n.END\n"
+        engine = compile_circuit(parse_deck(ladder).circuit, mode="dense")
+        assert engine.size > 1000
+        assert engine.assembly == "dense"
+        assert isinstance(engine.solver, DenseLUSolver)
+        assert engine.stats.solver == "dense-lu"
 
 
 class TestEngineLifecycle:

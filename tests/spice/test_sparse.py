@@ -16,12 +16,10 @@ from repro.spice import parse_deck, run_deck
 from repro.spice.ac import ACResult, solve_ac
 from repro.spice.analysis import OperatingPointResult, TransferFunction
 from repro.spice.engine import (
-    SPARSE_THRESHOLD,
     DenseLUSolver,
     SparseLUSolver,
     compile_circuit,
     get_engine,
-    make_solver,
 )
 from repro.spice.noise import NoiseResult
 from repro.spice.sparse import PatternMatrix, SparsityPattern
@@ -179,9 +177,12 @@ class TestPermcSpecAndFill:
         with pytest.raises(AnalysisError, match="permc_spec"):
             SparseLUSolver(permc_spec="BOGUS")
 
-    def test_make_solver_threads_the_spec(self):
-        solver = make_solver(SPARSE_THRESHOLD, permc_spec="colamd")
-        assert solver.permc_spec == "COLAMD"
+    def test_sparse_engine_threads_the_spec(self):
+        circuit = parse_deck(self.LADDER.replace(
+            "SOLVER=sparse", "SOLVER=sparse PERMC=COLAMD")).circuit
+        engine = compile_circuit(circuit, mode="sparse")
+        assert isinstance(engine.solver, SparseLUSolver)
+        assert engine.solver.permc_spec == "COLAMD"
 
     def test_options_card_reaches_the_engine(self):
         deck = parse_deck(self.LADDER.replace(
@@ -403,11 +404,6 @@ class TestSparseEngineCounters:
         assert sparse is not dense
         assert get_engine(circuit, "sparse") is sparse
         assert get_engine(circuit, "dense") is dense
-
-    def test_sparse_mode_requires_sparse_solver(self):
-        with pytest.raises(AnalysisError, match="SparseLUSolver"):
-            compile_circuit(self._circuit(), solver=DenseLUSolver(),
-                            mode="sparse")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(AnalysisError, match="assembly mode"):

@@ -241,15 +241,14 @@ class TestFrequencyResolution:
 
 
 class TestScalarDynamicLanes:
-    """Blocked AC on a circuit whose devices cannot be lane-stacked: the
-    multi-lane small-signal step linearizes each lane with the scalar
-    ``evaluate`` instead of one stacked pass."""
+    """Blocked AC on a circuit with a scalar-dynamic element (a diode):
+    the multi-lane small-signal step still linearizes every lane in one
+    stacked evaluation, which loads the diode lane by lane."""
 
     @pytest.mark.parametrize("mode", ENGINES)
     def test_diode_batch_bitwise_equals_scalar(self, mode):
         circuit = parse_deck(DIODE_DECK).circuit
         assert check_circuit(circuit) == []
-        assert not get_engine(circuit, mode).supports_stacked_evaluate
         fn = BlockedACSweep(DIODE_DECK, measure=ac_node_voltage("a"),
                             engine=mode)
         scalar = [fn(p) for p in DIODE_POINTS]
@@ -264,34 +263,76 @@ class TestStackedEvaluate:
     to per-lane scalar ``evaluate`` — per lane, per array, both
     backends."""
 
-    @pytest.mark.parametrize("mode", ENGINES)
-    def test_stacked_matches_scalar_per_lane(self, mode):
-        from repro.spice.engine import get_engine
+    @staticmethod
+    def _lanes(deck, mode, lanes=6, seed=11):
         from repro.spice.dcop import solve_dc
 
-        circuit = parse_deck(DECK_TEXT).circuit
+        circuit = parse_deck(deck).circuit
         engine = get_engine(circuit, mode=mode)
-        assert engine.supports_stacked_evaluate
         x_op = solve_dc(circuit, engine=engine)
-        rng = np.random.default_rng(11)
-        x_stack = x_op + rng.normal(0.0, 0.05, (6, x_op.size))
-        limits_scalar = [dict() for _ in range(6)]
-        limits_stacked = [dict() for _ in range(6)]
+        rng = np.random.default_rng(seed)
+        return engine, x_op + rng.normal(0.0, 0.05, (lanes, x_op.size))
+
+    @staticmethod
+    def _assert_lanes_match(engine, x_stack, limits, source_scale=1.0):
+        """Stacked vs per-lane scalar evaluate from equal copies of the
+        per-lane ``limits`` dicts: every array and the updated limiting
+        history must agree exactly."""
+        limits_scalar = [dict(d) for d in limits]
+        limits_stacked = [dict(d) for d in limits]
         ctx = engine.evaluate_stacked(
-            x_stack, gmin=1e-12, limits_list=limits_stacked, with_c=True
+            x_stack, gmin=1e-12, limits_list=limits_stacked,
+            source_scale=source_scale, with_c=True,
         )
-        for k in range(6):
+        for k in range(len(x_stack)):
             ref = engine.evaluate(x_stack[k], gmin=1e-12,
-                                  limits=limits_scalar[k])
+                                  limits=limits_scalar[k],
+                                  source_scale=source_scale)
             np.testing.assert_array_equal(ctx.i[k], ref.i_vec)
             np.testing.assert_array_equal(ctx.q[k], ref.q_vec)
-            if mode == "sparse":
+            if engine.assembly == "sparse":
                 np.testing.assert_array_equal(ctx.g[k], ref.g_mat.values)
                 np.testing.assert_array_equal(ctx.c[k], ref.c_mat.values)
             else:
                 np.testing.assert_array_equal(ctx.g[k], ref.g_mat)
                 np.testing.assert_array_equal(ctx.c[k], ref.c_mat)
         assert limits_stacked == limits_scalar
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_stacked_matches_scalar_per_lane(self, mode):
+        engine, x_stack = self._lanes(DECK_TEXT, mode)
+        self._assert_lanes_match(engine, x_stack, [{} for _ in x_stack])
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_stacked_matches_scalar_with_limiting_history(self, mode):
+        engine, x_stack = self._lanes(DECK_TEXT, mode)
+        # Seed each lane's limits with a scalar evaluate at another
+        # point, so pnjlim limits against a real prior history.
+        rng = np.random.default_rng(5)
+        limits = []
+        for x in x_stack:
+            history: dict = {}
+            engine.evaluate(x + rng.normal(0.0, 0.3, x.size),
+                            gmin=1e-12, limits=history)
+            assert history
+            limits.append(history)
+        self._assert_lanes_match(engine, x_stack, limits)
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_stacked_matches_scalar_under_source_stepping(self, mode):
+        engine, x_stack = self._lanes(DECK_TEXT, mode)
+        self._assert_lanes_match(engine, x_stack, [{} for _ in x_stack],
+                                 source_scale=0.5)
+
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_stacked_matches_scalar_with_diode(self, mode):
+        # The diode is a scalar-dynamic element: evaluate_stacked loads
+        # it lane by lane into the stacked buffers.
+        engine, x_stack = self._lanes(DIODE_DECK, mode)
+        limits = [{} for _ in x_stack]
+        self._assert_lanes_match(engine, x_stack, limits)
+        ctx = engine.evaluate_stacked(x_stack, gmin=1e-12)
+        assert ctx.c is None
 
     def test_newton_batched_uses_stacked_assembly(self):
         from repro.spice.engine import GLOBAL_STATS, get_engine

@@ -30,7 +30,6 @@ from repro.spice.dcop import (
 from repro.spice.engine import (
     DenseLUSolver,
     SparseLUSolver,
-    get_engine,
     resolve_engine,
 )
 from repro.spice.lint import check_circuit
@@ -220,13 +219,13 @@ class TestSweepParityMatrix:
 
 
 class TestScalarDynamicLanes:
-    """Blocked DC on a circuit whose devices cannot be lane-stacked."""
+    """Blocked DC on a circuit with a scalar-dynamic element (a diode),
+    which the stacked Newton assembly loads lane by lane."""
 
     @pytest.mark.parametrize("mode", ("dense", "sparse"))
     def test_diode_batch_bitwise_equals_scalar(self, mode):
         circuit = parse_deck(DIODE_DECK).circuit
         assert check_circuit(circuit) == []
-        assert not get_engine(circuit, mode).supports_stacked_evaluate
         fn = BlockedDCSweep(DIODE_DECK, measure=node_voltage("a"),
                             engine=mode)
         scalar = [fn(p) for p in DIODE_POINTS]
